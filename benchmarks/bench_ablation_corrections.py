@@ -1,4 +1,4 @@
-"""Ablations of the two documented design deviations (DESIGN.md §2).
+"""Ablations of two documented deviations (README, "Deviations from the paper").
 
 1. **Non-target mass scaling** (Algorithm 5): the paper subtracts the
    *population*-scale frequent mass from sketches built by a single user

@@ -16,7 +16,8 @@ import pytest
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-#: Default workload fraction of the paper's stream sizes (see DESIGN.md).
+#: Default workload fraction of the paper's stream sizes (see the README
+#: section "Deviations from the paper").
 BENCH_SCALE = 0.002
 #: Default repetitions per configuration.
 BENCH_TRIALS = 2

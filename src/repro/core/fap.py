@@ -40,13 +40,12 @@ MODE_HIGH = "H"
 MODE_LOW = "L"
 
 
-def _as_fi_set(frequent_items: Iterable[int]) -> np.ndarray:
-    fi = np.unique(as_value_array(frequent_items, "frequent_items"))
-    return fi
-
-
 def _non_target_mask(values: np.ndarray, mode: str, fi: np.ndarray) -> np.ndarray:
-    """Line 1 of Algorithm 4: non-target iff ``(mode == H) == (d not in FI)``."""
+    """Line 1 of Algorithm 4: non-target iff ``(mode == H) == (d not in FI)``.
+
+    Membership needs neither a sorted nor a duplicate-free ``fi``, so the
+    frequent-item set is used as given, not re-uniqued per encode.
+    """
     in_fi = np.isin(values, fi)
     if mode == MODE_HIGH:
         return ~in_fi
@@ -67,7 +66,7 @@ def fap_encode_report(
     line; the batched :func:`fap_encode_reports` is the production path.
     """
     mode = str(require_choice("mode", mode, (MODE_HIGH, MODE_LOW)))
-    fi = _as_fi_set(frequent_items)
+    fi = as_value_array(frequent_items, "frequent_items")
     generator = ensure_rng(rng)
     non_target = bool(_non_target_mask(np.asarray([value], dtype=np.int64), mode, fi)[0])
     if non_target:
@@ -103,7 +102,7 @@ def fap_encode_reports(
             f"({params.k}, {params.m})"
         )
     arr = as_value_array(values)
-    fi = _as_fi_set(frequent_items)
+    fi = as_value_array(frequent_items, "frequent_items")
     generator = ensure_rng(rng)
     n = arr.size
 

@@ -22,11 +22,12 @@ population level:
         \\frac{|A||B|}{|A_1||B_1|}\\,LEst +
         \\frac{|A||B|}{|A_2||B_2|}\\,HEst .
 
-Correction-scaling note (documented deviation, see DESIGN.md): Algorithm 5
-computes the frequent mass at *population* scale, but the sketches being
-corrected only saw one *group* of users.  By default we subtract the
-group-scaled mass ``HighFreq_A * |A_1| / |A|``; set
-``paper_faithful_correction=True`` for the verbatim formula.
+Correction-scaling note (documented deviation, see the README section
+"Deviations from the paper"): Algorithm 5 computes the frequent mass at
+*population* scale, but the sketches being corrected only saw one
+*group* of users.  By default we subtract the group-scaled mass
+``HighFreq_A * |A_1| / |A|``; set ``paper_faithful_correction=True`` for
+the verbatim formula.
 """
 
 from __future__ import annotations
@@ -138,14 +139,17 @@ class LDPJoinSketchPlus:
         sketch_sa = build_sketch(reports_sa, pairs1)
         sketch_sb = build_sketch(reports_sb, pairs1)
 
-        fi_a = find_frequent_items(sketch_sa, domain_size, self.threshold, method=self.fi_method)
-        fi_b = find_frequent_items(sketch_sb, domain_size, self.threshold, method=self.fi_method)
-        frequent_items = np.union1d(fi_a, fi_b)
+        # One scan of the domain reads both sketches: FI = FI_A ∪ FI_B and
+        # each sketch's Theorem 7 mass over it.
+        scan = find_frequent_items(
+            (sketch_sa, sketch_sb), domain_size, self.threshold, method=self.fi_method
+        )
+        frequent_items = scan.items
 
         # Population-scale frequent mass (Algorithm 5 lines 1-4), clipped
         # to the physically possible range.
-        high_mass_a = self._population_mass(sketch_sa, frequent_items, arr_a.size, sample_a.size)
-        high_mass_b = self._population_mass(sketch_sb, frequent_items, arr_b.size, sample_b.size)
+        high_mass_a = self._population_mass(scan.masses[0], arr_a.size, sample_a.size)
+        high_mass_b = self._population_mass(scan.masses[1], arr_b.size, sample_b.size)
 
         # ---------------- Phase 2: four FAP sketches -------------------
         pairs2 = HashPairs(self.params.k, self.params.m, spawn(generator))
@@ -222,17 +226,12 @@ class LDPJoinSketchPlus:
         half = rest.size // 2
         return sample, rest[:half], rest[half:]
 
-    def _population_mass(
-        self,
-        sketch: LDPJoinSketch,
-        frequent_items: np.ndarray,
-        population: int,
-        sample_size: int,
-    ) -> float:
-        """``sum_{d in FI} f~(d) * |X| / |S_X|``, clipped to ``[0, |X|]``."""
-        if frequent_items.size == 0:
-            return 0.0
-        sample_mass = float(np.sum(sketch.frequencies(frequent_items)))
+    def _population_mass(self, sample_mass: float, population: int, sample_size: int) -> float:
+        """``sum_{d in FI} f~(d) * |X| / |S_X|``, clipped to ``[0, |X|]``.
+
+        ``sample_mass`` is the sketch's Theorem 7 mass over ``FI``
+        (``sum_{d in FI} f~(d)``, at sample scale).
+        """
         sample_mass = min(max(sample_mass, 0.0), float(sample_size))
         return sample_mass * population / sample_size
 

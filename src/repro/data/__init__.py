@@ -5,9 +5,10 @@ real-world datasets (TPC-DS store sales, MovieLens, Twitter and Facebook
 ego networks).  The real datasets are downloads we do not have offline, so
 each is substituted by a generator reproducing the behaviour-relevant
 properties — the join-attribute *marginal distribution* (skew) and the
-domain size of Table II — as documented in DESIGN.md.  All generators are
-seeded and scale-invariant: ``sample(size, rng)`` draws any number of
-values from the same population distribution.
+domain size of Table II — as documented in the README section
+"Deviations from the paper".  All generators are seeded and
+scale-invariant: ``sample(size, rng)`` draws any number of values from
+the same population distribution.
 """
 
 from .base import DataGenerator, JoinInstance, sample_from_pmf

@@ -5,7 +5,8 @@ domain sizes and stream lengths.  Experiments request scaled-down
 instances via :func:`make_join_instance`: ``scale=0.005`` of the paper's
 40M-row Zipf stream gives a 200k-row laptop workload with the same
 population distribution — all estimators here are linear in the stream,
-so error *ratios* between methods are preserved (see DESIGN.md).
+so error *ratios* between methods are preserved (see the README section
+"Deviations from the paper").
 """
 
 from __future__ import annotations

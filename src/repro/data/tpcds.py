@@ -12,8 +12,9 @@ relevant structure of TPC-DS item sales:
   has the moderate skew of store-sales item keys — far flatter than
   Zipf(1.5), far from uniform.
 
-DESIGN.md records this substitution; the estimators only see the marginal
-distribution of the join key, so this preserves the experiment behaviour.
+The README section "Deviations from the paper" records this
+substitution; the estimators only see the marginal distribution of the
+join key, so this preserves the experiment behaviour.
 """
 
 from __future__ import annotations

@@ -798,16 +798,15 @@ class _PlusDriver:
                 int(merged1.counters[f"{label}:num_reports"]),
             )
 
-        sketch_sa = _phase1_sketch("SA")
-        sketch_sb = _phase1_sketch("SB")
         domain = require_positive_int("domain_size", instance.domain_size)
-        fi_a = find_frequent_items(
-            sketch_sa, domain, protocol.threshold, method=protocol.fi_method
+        scan = find_frequent_items(
+            (_phase1_sketch("SA"), _phase1_sketch("SB")),
+            domain,
+            protocol.threshold,
+            method=protocol.fi_method,
         )
-        fi_b = find_frequent_items(
-            sketch_sb, domain, protocol.threshold, method=protocol.fi_method
-        )
-        frequent_items = np.union1d(fi_a, fi_b)
+        frequent_items = scan.items
+        sample_mass_a, sample_mass_b = scan.masses
         # The frequent-item set is now *broadcast*: round-2 losses cannot
         # retract it, but every downstream statistic (sample sizes, high
         # masses, group sizes) is computed after round 2, over the final
@@ -867,8 +866,12 @@ class _PlusDriver:
                 lost,
             )
             merged1 = _reduce(round1, merge, degraded=True)
-            sketch_sa = _phase1_sketch("SA")
-            sketch_sb = _phase1_sketch("SB")
+            # The scan read shards that are now dropped: read the
+            # survivors' rebuilt sketches over the broadcast set instead.
+            sample_mass_a, sample_mass_b = [
+                float(np.sum(_phase1_sketch(label).frequencies(frequent_items)))
+                for label in ("SA", "SB")
+            ]
         merged2 = _reduce(round2, merge, degraded=bool(lost))
 
         # Covered population: in a fault-free run these equal the full
@@ -882,10 +885,10 @@ class _PlusDriver:
         sample_size_a = int(merged1.counters["SA:num_reports"])
         sample_size_b = int(merged1.counters["SB:num_reports"])
         high_mass_a = protocol._population_mass(
-            sketch_sa, frequent_items, covered_a, sample_size_a
+            sample_mass_a, covered_a, sample_size_a
         )
         high_mass_b = protocol._population_mass(
-            sketch_sb, frequent_items, covered_b, sample_size_b
+            sample_mass_b, covered_b, sample_size_b
         )
 
         def _phase2_sketch(label: str) -> LDPJoinSketch:

@@ -4,10 +4,11 @@ Every function returns a :class:`~repro.experiments.reporting.ResultTable`
 containing exactly the series the paper plots (plus the ground truth the
 reader needs to judge shape).  Defaults reproduce the paper's parameter
 settings at laptop scale; the ``scale`` argument controls the fraction of
-the paper's stream lengths drawn from each population (see DESIGN.md for
-why shapes are preserved under scaling).
+the paper's stream lengths drawn from each population (see the README
+section "Deviations from the paper" for why shapes are preserved under
+scaling, and for the substituted datasets).
 
-Index (see also DESIGN.md section 3):
+Index:
 
 ========  =================================================================
 table2    dataset inventory

@@ -150,3 +150,22 @@ class TestMixedBatches:
             np.random.default_rng(15),
         )
         assert np.array_equal(out1.ys, out2.ys)
+
+    @pytest.mark.parametrize("mode", [MODE_LOW, MODE_HIGH])
+    def test_fi_order_and_duplicates_do_not_matter(self, mode, medium_params, medium_pairs):
+        # The set is used as given (not re-uniqued per encode): an
+        # unsorted FI with repeats must encode exactly like its sorted,
+        # duplicate-free form.
+        values = zipf_values(5_000, 300, 1.1, seed=16)
+        fi = np.unique(zipf_values(200, 300, 0.8, seed=17))
+        messy = np.concatenate([fi[::-1], fi[: fi.size // 2]])
+        reports = [
+            fap_encode_reports(
+                values, mode, medium_params, medium_pairs, given, np.random.default_rng(18)
+            )
+            for given in (fi, messy, messy.tolist())
+        ]
+        for other in reports[1:]:
+            assert np.array_equal(reports[0].ys, other.ys)
+            assert np.array_equal(reports[0].rows, other.rows)
+            assert np.array_equal(reports[0].cols, other.cols)

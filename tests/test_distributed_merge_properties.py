@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.api import JoinSession, get_estimator
 from repro.backend import backend_available, use_backend
 from repro.core import SketchParams
+from repro.core.estimator import DEFAULT_SCAN_CHUNK
 from repro.data.base import JoinInstance
 from repro.distributed import (
     ShardPlanner,
@@ -154,6 +155,45 @@ class TestShardCountInvariance:
             for key in a.counters:
                 if "seconds" not in key:
                     assert a.counters[key] == b.counters[key]
+
+
+class TestPlusWideDomainInvariance:
+    """LDPJoinSketch+ at an even k over a domain wider than one scan chunk.
+
+    The main grid's k=3, 64-value configuration never takes the phase-1
+    scan's tie branch (exactly k/2 rows above the cutoff) or crosses a
+    chunk boundary; this one does both.
+    """
+
+    DOMAIN = DEFAULT_SCAN_CHUNK + 1_000
+
+    @pytest.fixture(scope="class")
+    def wide_instance(self) -> JoinInstance:
+        return JoinInstance(
+            name="prop-zipf-wide",
+            values_a=zipf_values(N, self.DOMAIN, 1.2, seed=23),
+            values_b=zipf_values(N, self.DOMAIN, 1.1, seed=24),
+            domain_size=self.DOMAIN,
+        )
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_tree_merge_matches_single_aggregator(self, num_shards, wide_instance):
+        estimator = get_estimator("ldp-join-sketch-plus", k=4, m=32)
+        kwargs = dict(num_shards=num_shards, seed=77, strategy="range")
+        tree = estimate_sharded(estimator, wide_instance, EPSILON, merge="tree", **kwargs)
+        single = estimate_sharded(
+            estimator, wide_instance, EPSILON, merge="sequential", **kwargs
+        )
+        assert _deterministic_fields(tree) == _deterministic_fields(single)
+        np.testing.assert_array_equal(
+            tree.extras["frequent_items"], single.extras["frequent_items"]
+        )
+        for key in ("high_freq_mass_a", "high_freq_mass_b", "low_estimate", "high_estimate"):
+            assert tree.extras[key] == single.extras[key], key
+        assert 1 < tree.extras["frequent_items"].size < self.DOMAIN
+        if num_shards == 1:
+            serial = estimator.estimate(wide_instance, EPSILON, seed=77)
+            assert _deterministic_fields(tree) == _deterministic_fields(serial)
 
 
 class TestSessionLevelInvariance:

@@ -15,15 +15,19 @@ Run under ``HYPOTHESIS_PROFILE=ci`` this file is fully derandomized.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.distributed.collectors as collectors
 from repro.api import get_estimator
+from repro.core import LDPJoinSketchPlus, SketchParams
+from repro.core.estimator import DEFAULT_SCAN_CHUNK
 from repro.data.base import JoinInstance
-from repro.distributed import estimate_sharded
+from repro.distributed import ShardPlanner, estimate_sharded
 from repro.errors import ShardLostError
 from repro.reliability import FaultPlan, FaultSpec
 
@@ -186,6 +190,125 @@ class TestUnabsorbableSchedulesDegradeAccountably:
         with pytest.raises(ShardLostError) as excinfo:
             _run(name, 2, retries=2, fault_plan=plan, degraded=True)
         assert excinfo.value.lost == (0, 1)
+
+
+class TestPlusWideDomainChaos:
+    """LDPJoinSketch+ at an even k over a domain wider than one scan chunk.
+
+    The phase-1 scan takes its tie branch and crosses chunk boundaries,
+    which the k=3, 64-value grid above never does.
+    """
+
+    DOMAIN = DEFAULT_SCAN_CHUNK + 1_000
+    INSTANCE = JoinInstance(
+        name="chaos-zipf-wide",
+        values_a=zipf_values(N, DOMAIN, 1.2, seed=23),
+        values_b=zipf_values(N, DOMAIN, 1.1, seed=24),
+        domain_size=DOMAIN,
+    )
+
+    def _run(self, num_shards, **reliability):
+        return estimate_sharded(
+            get_estimator("ldp-join-sketch-plus", k=4, m=32),
+            self.INSTANCE,
+            EPSILON,
+            num_shards=num_shards,
+            seed=77,
+            strategy="range",
+            merge="tree",
+            **reliability,
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_random_schedule_leaves_no_trace(self, data):
+        num_shards = data.draw(st.sampled_from((2, 3, 7)), label="K")
+        plan = FaultPlan.random(
+            data.draw(st.integers(0, 2**16), label="plan_seed"),
+            points=("shard.collect",),
+            num_faults=2,
+            num_shards=num_shards,
+            max_times=MAX_TIMES,
+            kinds=("error", "crash"),
+        )
+        key = ("plus-wide", num_shards)
+        if key not in _BASELINES:
+            _BASELINES[key] = _fields(self._run(num_shards))
+        chaotic = self._run(num_shards, retries=RETRIES, fault_plan=plan)
+        assert _fields(chaotic) == _BASELINES[key]
+
+    @pytest.mark.parametrize("lost", [0, 2])
+    def test_round2_loss_reads_mass_from_rebuilt_sketches(self, lost, monkeypatch):
+        """A shard lost after the FI broadcast leaves the broadcast set in
+        place, but the frequent mass must describe the survivors only: it
+        comes from their rebuilt phase-1 sketches, not from the scan."""
+        # Two planted heavy values, and enough phase-1 users that the
+        # frequent set is those values and the mass stays below the
+        # survivors' sample size (a clipped mass could not tell the two
+        # read-outs apart).
+        rng = np.random.default_rng(25)
+        n = 24_000
+
+        def planted(seed):
+            tail = zipf_values(n - n // 4 - n // 8, self.DOMAIN, 1.1, seed=seed)
+            values = np.concatenate([np.full(n // 4, 5), np.full(n // 8, 9_000), tail])
+            return rng.permutation(values)
+
+        instance = JoinInstance("chaos-planted", planted(26), planted(27), self.DOMAIN)
+        options = dict(k=4, m=256, sample_rate=0.2, threshold=0.1)
+        scans = []
+        scan = collectors.find_frequent_items
+
+        def spy(sketches, *args, **kwargs):
+            result = scan(sketches, *args, **kwargs)
+            scans.append((sketches, result))
+            return result
+
+        monkeypatch.setattr(collectors, "find_frequent_items", spy)
+
+        def lose(round_):
+            spec = FaultSpec(
+                point="shard.collect",
+                kind="error",
+                times=99,
+                match={"shard": lost, "round": round_},
+            )
+            return estimate_sharded(
+                get_estimator("ldp-join-sketch-plus", **options),
+                instance,
+                EPSILON,
+                num_shards=3,
+                seed=77,
+                strategy="range",
+                retries=RETRIES,
+                fault_plan=FaultPlan([spec]),
+                degraded=True,
+            )
+
+        # A round-1 loss scans the survivors' sketches: the same partials
+        # a round-2 loss rebuilds (each shard draws from its own seed).
+        lose(1)
+        result = lose(2)
+        (survivors, _), (everyone, broadcast) = scans
+        assert result.extras["degraded"]["shards_lost"] == [lost]
+        assert everyone[0].num_reports > survivors[0].num_reports
+        np.testing.assert_array_equal(result.extras["frequent_items"], broadcast.items)
+        assert {5, 9_000} <= set(broadcast.items.tolist())
+
+        protocol = LDPJoinSketchPlus(SketchParams(k=4, m=256, epsilon=EPSILON))
+        planner = ShardPlanner(3, strategy="range")
+        for index, (label, values) in enumerate(
+            (("a", instance.values_a), ("b", instance.values_b))
+        ):
+            sizes = [split.size for split in planner.split(values)]
+            covered = sum(sizes) - sizes[lost]
+            sample_size = survivors[index].num_reports
+            rebuilt = float(np.sum(survivors[index].frequencies(broadcast.items)))
+            assert 0.0 < rebuilt < sample_size
+            expected = protocol._population_mass(rebuilt, covered, sample_size)
+            stale = protocol._population_mass(broadcast.masses[index], covered, sample_size)
+            assert result.extras[f"high_freq_mass_{label}"] == expected
+            assert expected != stale
 
 
 class TestSweepChaos:

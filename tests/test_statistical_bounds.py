@@ -140,7 +140,8 @@ class TestTheorem5TailBound:
 
 class TestFrequencyEstimatorSpread:
     def test_frequency_error_scales_with_sqrt_f1(self):
-        """Theorem 7's estimator noise grows ~ sqrt(F1) (DESIGN.md noise floor)."""
+        """Theorem 7's estimator noise grows ~ sqrt(F1) (the noise floor in the
+        README section "Deviations from the paper")."""
         params = SketchParams(k=5, m=256, epsilon=4.0)
         pairs = HashPairs(params.k, params.m, seed=13)
 
