@@ -74,7 +74,6 @@ from .api import (
     register,
 )
 from .core import (
-    JoinEstimate,
     LDPCompassProtocol,
     LDPJoinSketch,
     LDPJoinSketchPlus,
@@ -89,8 +88,6 @@ from .core import (
     fap_encode_report,
     fap_encode_reports,
     find_frequent_items,
-    run_ldp_join_sketch,
-    run_ldp_join_sketch_plus,
 )
 from .join import FrequencyVector, exact_join_size, exact_multiway_chain_size
 
@@ -132,9 +129,6 @@ __all__ = [
     "LDPJoinSketchPlus",
     "PlusEstimate",
     "LDPCompassProtocol",
-    "JoinEstimate",
-    "run_ldp_join_sketch",
-    "run_ldp_join_sketch_plus",
     # ground truth
     "FrequencyVector",
     "exact_join_size",

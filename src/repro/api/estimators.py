@@ -50,8 +50,7 @@ from ..mechanisms import (
 from ..privacy.budget import BudgetLedger, PrivacySpec
 from ..rng import RandomState, derive_seed, ensure_rng, spawn
 from ..sketches import FastAGMSSketch
-from ..transform.hadamard import fwht_inplace
-from ..validation import as_value_array, require_positive_int
+from ..validation import as_value_array
 from .registry import register
 from .result import EstimateResult
 from .session import JoinSession
@@ -74,8 +73,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Canonical one-call drivers (the logic behind the deprecated ``run_*``
-# shims in :mod:`repro.core.protocol`).
+# One-call drivers: a whole protocol run from raw value arrays.
 # ----------------------------------------------------------------------
 def run_join_sketch(
     values_a: Iterable[int],
@@ -132,12 +130,8 @@ def _encode_trial_sketches(
     sketches_a: List[LDPJoinSketch] = []
     sketches_b: List[LDPJoinSketch] = []
     for t in range(trials):
-        counts_a = raw_a[t].astype(np.float64) * params.scale
-        fwht_inplace(counts_a)
-        sketches_a.append(LDPJoinSketch(params, pairs_list[t], counts_a, n_a))
-        counts_b = raw_b[t].astype(np.float64) * params.scale
-        fwht_inplace(counts_b)
-        sketches_b.append(LDPJoinSketch(params, pairs_list[t], counts_b, n_b))
+        sketches_a.append(LDPJoinSketch.from_raw(params, pairs_list[t], raw_a[t], n_a))
+        sketches_b.append(LDPJoinSketch.from_raw(params, pairs_list[t], raw_b[t], n_b))
     seconds = time.perf_counter() - start
     return pairs_list, sketches_a, sketches_b, n_a, n_b, seconds
 
@@ -290,8 +284,6 @@ def run_join_sketch_plus(
     seed: RandomState = None,
 ) -> EstimateResult:
     """Run the two-phase LDPJoinSketch+ protocol end to end."""
-    domain_size = require_positive_int("domain_size", domain_size)
-    rng = ensure_rng(seed)
     protocol = LDPJoinSketchPlus(
         params,
         sample_rate=sample_rate,
@@ -299,24 +291,12 @@ def run_join_sketch_plus(
         phase1_params=phase1_params,
         paper_faithful_correction=paper_faithful_correction,
     )
-
-    arr_a = np.asarray(values_a, dtype=np.int64)
-    arr_b = np.asarray(values_b, dtype=np.int64)
-
-    start = time.perf_counter()
-    result = protocol.estimate(arr_a, arr_b, domain_size, rng)
-    offline = time.perf_counter() - start
-
-    # Each user belongs to exactly one of the six disjoint groups (sampled,
-    # group 1, group 2 - per attribute) and is perturbed once.
-    ledger = BudgetLedger()
-    for group in ("A-sample", "A1", "A2", "B-sample", "B1", "B2"):
-        ledger.charge(group, params.epsilon, "LDPJoinSketch+/FAP")
-    ledger.assert_within(PrivacySpec(params.epsilon))
-
-    # sketch_bytes already set by the protocol (single source of the
-    # phase-1/phase-2 memory formula).
-    return result.with_costs(offline_seconds=offline, ledger=ledger)
+    return protocol.estimate(
+        np.asarray(values_a, dtype=np.int64),
+        np.asarray(values_b, dtype=np.int64),
+        domain_size,
+        seed,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -706,6 +686,19 @@ class LDPJoinSketchPlusEstimator(BaseEstimator):
         self.phase1_m = phase1_m
         self.paper_faithful_correction = paper_faithful_correction
 
+    def protocol(self, epsilon: float) -> LDPJoinSketchPlus:
+        """The configured two-phase protocol under budget ``epsilon``."""
+        phase1 = (
+            SketchParams(self.k, self.phase1_m, epsilon) if self.phase1_m is not None else None
+        )
+        return LDPJoinSketchPlus(
+            SketchParams(self.k, self.m, epsilon),
+            sample_rate=self.sample_rate,
+            threshold=self.threshold,
+            phase1_params=phase1,
+            paper_faithful_correction=self.paper_faithful_correction,
+        )
+
     def _estimate(
         self,
         instance: JoinInstance,
@@ -713,20 +706,8 @@ class LDPJoinSketchPlusEstimator(BaseEstimator):
         seed: RandomState = None,
     ) -> EstimateResult:
         """Run both phases of the protocol."""
-        params = SketchParams(self.k, self.m, epsilon)
-        phase1 = (
-            SketchParams(self.k, self.phase1_m, epsilon) if self.phase1_m is not None else None
-        )
-        return run_join_sketch_plus(
-            instance.values_a,
-            instance.values_b,
-            instance.domain_size,
-            params,
-            sample_rate=self.sample_rate,
-            threshold=self.threshold,
-            phase1_params=phase1,
-            paper_faithful_correction=self.paper_faithful_correction,
-            seed=seed,
+        return self.protocol(epsilon).estimate(
+            instance.values_a, instance.values_b, instance.domain_size, seed
         )
 
     def report_bits_for(self, domain_size: int, epsilon: float) -> int:

@@ -1,12 +1,12 @@
 """The one result type of the unified estimation API.
 
 Every entry point — registry estimators, :class:`~repro.api.JoinSession`
-queries, the deprecated ``run_*`` drivers — returns the same frozen
+queries, the one-call ``run_*`` drivers — returns the same frozen
 :class:`EstimateResult`: the estimate plus the cost accounting the
 experiments track (offline/online wall time, uplink bits, server-side
-sketch memory, per-user-group privacy charges).  It replaces the three
-historical result dataclasses (``JoinEstimate``, ``PlusEstimate``,
-``MethodResult``), which survive as aliases.
+sketch memory, per-user-group privacy charges).  It replaces the
+historical result dataclasses; ``PlusEstimate`` and ``MethodResult``
+survive as aliases.
 
 Method-specific artefacts (the frequent-item set of LDPJoinSketch+, the
 per-phase bit counts, partial estimates, ...) travel in :attr:`extras` and

@@ -60,7 +60,6 @@ from ..privacy.budget import BudgetLedger
 from ..reliability.faults import fault_point
 from ..rng import RandomState, ensure_rng
 from ..serialization import decode_array, encode_array
-from ..transform.hadamard import fwht_inplace
 from .result import EstimateResult
 
 __all__ = ["JoinSession"]
@@ -577,18 +576,15 @@ class JoinSession:
         if state.num_reports == 0:
             raise ProtocolError(f"stream {stream!r} has no reports yet")
         if state.cached is None:
-            params = self.params_for(state.attribute)
-            # One transient: scale the float copy in place, transform in
-            # place.  The result is cached until the next collect/merge
-            # invalidates it, so back-to-back queries never re-run the
-            # FWHT.
-            counts = state.raw.astype(np.float64)
-            counts *= params.scale
+            # Cached until the next collect/merge invalidates it, so
+            # back-to-back queries never re-run the FWHT.
             with use_backend(self.backend):
-                fwht_inplace(counts)
-            state.cached = LDPJoinSketch(
-                params, self._pairs[state.attribute], counts, state.num_reports
-            )
+                state.cached = LDPJoinSketch.from_raw(
+                    self.params_for(state.attribute),
+                    self._pairs[state.attribute],
+                    state.raw,
+                    state.num_reports,
+                )
         return state.cached
 
     def middle_sketch(self, stream: str) -> LDPMiddleSketch:

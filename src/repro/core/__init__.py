@@ -12,12 +12,14 @@ Public surface:
   Theorem 7 frequency estimation;
 * :func:`fap_encode_reports` — Algorithm 4, Frequency-Aware Perturbation;
 * :class:`LDPJoinSketchPlus` — Algorithm 3 + Algorithm 5, the two-phase
-  protocol;
-* :class:`LDPCompassProtocol` — the Section VI multiway extension;
-* :func:`run_ldp_join_sketch` / :func:`run_ldp_join_sketch_plus` —
-  deprecated one-call shims over the unified API in :mod:`repro.api`
-  (``JoinEstimate`` / ``PlusEstimate`` are aliases of
-  :class:`~repro.api.EstimateResult`).
+  protocol, as phase steps over mergeable partials (its serial run and
+  the sharded one execute the same steps); ``PlusEstimate`` is an alias
+  of :class:`~repro.api.EstimateResult`;
+* :class:`LDPCompassProtocol` — the Section VI multiway extension.
+
+One-call drivers and the streaming aggregation surface live in
+:mod:`repro.api` (``run_join_sketch``, ``run_join_sketch_plus``,
+:class:`~repro.api.JoinSession`).
 """
 
 from .params import SketchParams
@@ -31,7 +33,6 @@ from .client import (
     encode_reports_trials_into,
 )
 from .server import LDPJoinSketch, build_sketch
-from .aggregator import LDPJoinSketchAggregator
 from .estimator import estimate_join_size, find_frequent_items
 from .fap import fap_encode_report, fap_encode_reports
 from .plus import LDPJoinSketchPlus, PlusEstimate
@@ -41,7 +42,6 @@ from .multiway import (
     MiddleReportBatch,
     finalize_middle_counts,
 )
-from .protocol import JoinEstimate, run_ldp_join_sketch, run_ldp_join_sketch_plus
 
 __all__ = [
     "SketchParams",
@@ -54,7 +54,6 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "LDPJoinSketch",
     "build_sketch",
-    "LDPJoinSketchAggregator",
     "estimate_join_size",
     "find_frequent_items",
     "fap_encode_report",
@@ -65,7 +64,4 @@ __all__ = [
     "LDPMiddleSketch",
     "MiddleReportBatch",
     "finalize_middle_counts",
-    "JoinEstimate",
-    "run_ldp_join_sketch",
-    "run_ldp_join_sketch_plus",
 ]

@@ -38,9 +38,10 @@ __all__ = ["LDPJoinSketch", "build_sketch"]
 class LDPJoinSketch:
     """A constructed (post-transform) LDP join sketch.
 
-    Instances are normally produced by :func:`build_sketch`; the
-    constructor accepts a pre-computed counter array for internal uses
-    (shifting, testing, serialisation).
+    Instances are normally produced by :func:`build_sketch` or, from a
+    merged raw accumulator, :meth:`from_raw`; the constructor accepts a
+    pre-computed counter array for internal uses (shifting, testing,
+    serialisation).
     """
 
     __slots__ = ("params", "pairs", "counts", "num_reports")
@@ -68,6 +69,26 @@ class LDPJoinSketch:
             )
         self.counts = counts
         self.num_reports = int(num_reports)
+
+    @classmethod
+    def from_raw(
+        cls,
+        params: SketchParams,
+        pairs: HashPairs,
+        raw: np.ndarray,
+        num_reports: int,
+    ) -> "LDPJoinSketch":
+        """Algorithm 2's server step on an accumulator of raw reports.
+
+        ``raw`` is the int64 sum of the ``(y, j, l)`` reports (the
+        mergeable pre-transform state).  Debias it by ``k * c_eps`` and
+        invert the client transform with one FWHT per row; ``raw`` itself
+        is left untouched.
+        """
+        counts = raw.astype(np.float64)
+        counts *= params.scale  # scale = k * c_epsilon
+        fwht_inplace(counts)  # M <- M @ H_m^T (H is symmetric)
+        return cls(params, pairs, counts, num_reports)
 
     # ------------------------------------------------------------------
     # Shape
@@ -275,6 +296,4 @@ def build_sketch(
     params = reports.params
     raw = np.zeros((params.k, params.m), dtype=np.int64)
     scatter_add_signed_units(raw, (reports.rows, reports.cols), reports.ys)
-    counts = raw.astype(np.float64) * params.scale  # scale = k * c_epsilon
-    fwht_inplace(counts)  # M <- M @ H_m^T (H is symmetric)
-    return LDPJoinSketch(params, pairs, counts, num_reports=len(reports))
+    return LDPJoinSketch.from_raw(params, pairs, raw, len(reports))

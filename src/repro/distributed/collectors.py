@@ -25,10 +25,17 @@ Each protocol family has one driver:
 * frequency-oracle baselines (k-RR, OLH, FLH, Apple-HCMS) shard the
   oracle server state (count tables / per-user stores);
 * the non-private FAGMS baseline shards its linear sketch counters;
-* LDPJoinSketch+ runs the faithful *two-round* distributed protocol:
-  shards merge phase-1 partials, the coordinator broadcasts the
-  frequent-item set, shards produce phase-2 FAP partials, and the
-  coordinator finalises Algorithm 5.
+* LDPJoinSketch+ runs the faithful *two-round* distributed protocol
+  through the protocol's own phase steps
+  (:class:`~repro.core.LDPJoinSketchPlus`): shards merge phase-1
+  partials, the coordinator broadcasts the frequent-item set, shards
+  produce phase-2 FAP partials, and the coordinator finalises
+  Algorithm 5.
+
+Every collection round of every driver runs through one loop
+(:func:`_collect_round`): the ``shard.collect`` fault point, retries
+with the shard's randomness restored, and degrade-or-raise on a lost
+shard.
 """
 
 from __future__ import annotations
@@ -42,24 +49,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..accumulate import scatter_add_signed_units
 from ..api.registry import get_estimator, resolve_estimator
 from ..api.result import EstimateResult
 from ..api.session import JoinSession
-from ..core.client import encode_reports
-from ..core.estimator import find_frequent_items
-from ..core.fap import MODE_HIGH, MODE_LOW, fap_encode_reports
 from ..core.params import SketchParams
-from ..core.plus import LDPJoinSketchPlus
-from ..core.server import LDPJoinSketch
+from ..core.plus import PLUS_METHOD
 from ..errors import ParameterError, RetryExhaustedError, ShardLostError
 from ..hashing import HashPairs
-from ..privacy.budget import BudgetLedger, PrivacySpec
-from ..reliability.faults import FaultPlan, fault_point, injected
-from ..reliability.retry import DEFAULT_RETRYABLE, RetryPolicy
+from ..privacy.budget import PrivacySpec
+from ..reliability.faults import FaultPlan, as_fault_plan, fault_point, injected
+from ..reliability.retry import DEFAULT_RETRYABLE, RetryPolicy, as_retry_policy
 from ..rng import RandomState, derive_seed, ensure_rng, spawn
 from ..sketches import FastAGMSSketch
-from ..transform.hadamard import fwht_inplace
 from ..validation import as_value_array, require_positive_int
 from .merge import merge_sequential, merge_tree
 from .partial import PartialAggregate, fingerprint_digest
@@ -80,33 +81,14 @@ _MERGERS = {"tree": merge_tree, "sequential": merge_sequential}
 _SHARD_LOSS_ERRORS = (RetryExhaustedError,) + DEFAULT_RETRYABLE
 
 
-def _reduce(
-    partials: Sequence[Optional[PartialAggregate]],
-    merge: str,
-    *,
-    degraded: bool = False,
-) -> PartialAggregate:
+def _reducer(merge: str) -> Callable[..., PartialAggregate]:
+    """The reduction topology a ``merge=`` argument names."""
     try:
-        reducer = _MERGERS[merge]
+        return _MERGERS[merge]
     except KeyError:
         raise ParameterError(
             f"merge must be one of {tuple(_MERGERS)}, got {merge!r}"
         ) from None
-    return reducer(partials, degraded=degraded)
-
-
-def _as_policy(retries: Union[None, int, RetryPolicy]) -> Optional[RetryPolicy]:
-    """Normalise a ``retries=`` argument (attempt count or policy)."""
-    if retries is None or isinstance(retries, RetryPolicy):
-        return retries
-    return RetryPolicy(int(retries))
-
-
-def _as_plan(fault_plan: Union[None, str, Path, FaultPlan]) -> Optional[FaultPlan]:
-    """Normalise a ``fault_plan=`` argument (plan object or JSON path)."""
-    if fault_plan is None or isinstance(fault_plan, FaultPlan):
-        return fault_plan
-    return FaultPlan.load(fault_plan)
 
 
 def _generator_reset(seed) -> Optional[Callable[[], None]]:
@@ -129,26 +111,74 @@ def _generator_reset(seed) -> Optional[Callable[[], None]]:
 
 
 def _collect_shard(
-    driver, ctx, method: str, s: int, policy: Optional[RetryPolicy]
-) -> PartialAggregate:
-    """One shard's partial, through the ``shard.collect`` fault point.
+    collect: Callable[[int], object],
+    ctx,
+    s: int,
+    method: str,
+    policy: Optional[RetryPolicy],
+    round_: Optional[int] = None,
+):
+    """Shard ``s``'s ``collect(s)``, through the ``shard.collect`` fault point.
 
-    With a policy, the collect is retried under RNG-state restoration so
-    an absorbed fault leaves the partial byte-identical to a fault-free
-    collect.
+    With a policy, the collect is retried with the shard's plan seed
+    (``ctx.shard_seeds[s]``, if any) restored, so an absorbed fault
+    leaves the result byte-identical to a fault-free collect.
+    ``round_`` tags the rounds of a multi-round protocol.
     """
+    context = {} if round_ is None else {"round": round_}
 
-    def attempt() -> PartialAggregate:
-        fault_point("shard.collect", shard=s, method=method)
-        return driver.collect(ctx, s)
+    def attempt():
+        fault_point("shard.collect", shard=s, method=method, **context)
+        return collect(s)
 
     if policy is None:
         return attempt()
     seeds = getattr(ctx, "shard_seeds", None)
     reset = _generator_reset(seeds[s]) if seeds is not None else None
-    return policy.call(
-        attempt, operation=f"{method}: collect shard {s}", reset=reset
-    )
+    step = f"collect shard {s}" if round_ is None else f"round-{round_} shard {s}"
+    return policy.call(attempt, operation=f"{method}: {step}", reset=reset)
+
+
+def _collect_round(
+    collect: Callable[[int], object],
+    ctx,
+    num_shards: int,
+    *,
+    method: str,
+    policy: Optional[RetryPolicy],
+    degraded: bool,
+    lost: Set[int],
+    round_: Optional[int] = None,
+) -> List:
+    """One collection round: ``collect(s)`` for every shard not yet lost.
+
+    A shard still failing after retries raises, or with ``degraded``
+    joins ``lost`` and yields ``None``.  A loss that leaves no shard, or
+    no surviving client of a stream, raises
+    :class:`~repro.errors.ShardLostError` either way.  ``ctx`` supplies
+    the plan's ``shard_seeds`` (if any) and, for the coverage check,
+    ``splits_a`` / ``splits_b``.
+    """
+    collected: List = [None] * num_shards
+    cause = None
+    for s in range(num_shards):
+        if s in lost:
+            continue
+        try:
+            collected[s] = _collect_shard(collect, ctx, s, method, policy, round_)
+        except _SHARD_LOSS_ERRORS as error:
+            if not degraded:
+                raise
+            lost.add(s)
+            cause = error
+    if cause is not None:
+        if len(lost) == num_shards:
+            raise ShardLostError(
+                f"all {num_shards} shard partial(s) lost; nothing to merge",
+                lost=sorted(lost),
+            ) from cause
+        _require_surviving_coverage(*_shard_sizes(ctx, num_shards), lost)
+    return collected
 
 
 def _degradation_scale(strategy: str, cov_a: float, cov_b: float) -> float:
@@ -175,7 +205,7 @@ def _shard_sizes(ctx, num_shards: int) -> Tuple[List[int], List[int]]:
 
 
 def _require_surviving_coverage(
-    sizes_a: Sequence[int], sizes_b: Sequence[int], lost: Sequence[int]
+    sizes_a: Sequence[int], sizes_b: Sequence[int], lost: Set[int]
 ) -> None:
     """Degrading needs survivors that still hold clients of both streams.
 
@@ -185,17 +215,14 @@ def _require_surviving_coverage(
     accumulators.  Surface that as the same typed loss as losing every
     shard.
     """
-    lost_set = set(lost)
-    if len(lost_set) >= len(sizes_a):
-        return  # every shard lost: the merger raises the canonical error
     for stream, sizes in (("A", sizes_a), ("B", sizes_b)):
         if sum(sizes) and not any(
-            sizes[s] for s in range(len(sizes)) if s not in lost_set
+            sizes[s] for s in range(len(sizes)) if s not in lost
         ):
             raise ShardLostError(
-                f"lost shard(s) {sorted(lost_set)} held every client of "
+                f"lost shard(s) {sorted(lost)} held every client of "
                 f"stream {stream!r}; surviving coverage is zero",
-                lost=sorted(lost_set),
+                lost=sorted(lost),
             )
 
 
@@ -211,11 +238,11 @@ def _apply_degradation(
 
     ``result.estimate`` is the join size of the *covered* population —
     single-round finalisers produce that implicitly (the merged
-    accumulators simply hold fewer reports), the plus driver computes it
-    explicitly over covered group sizes.  The ledgered ``bound_factor``
-    is the factor by which the estimate's error bound widens: the
-    surviving mass was scaled up by ``1/scale``, so absolute error
-    scales with it.
+    accumulators simply hold fewer reports), and LDPJoinSketch+'s
+    finalise computes it from the covered group sizes.  The ledgered
+    ``bound_factor`` is the factor by which the estimate's error bound
+    widens: the surviving mass was scaled up by ``1/scale``, so absolute
+    error scales with it.
     """
     lost_set = set(lost)
     survivors = [s for s in range(len(sizes_a)) if s not in lost_set]
@@ -236,13 +263,6 @@ def _apply_degradation(
         estimate=result.estimate * factor,
         extras={**result.extras, "degraded": degraded_info},
     )
-
-
-def _two_stream_ledger(epsilon: float, mechanism: str) -> BudgetLedger:
-    ledger = BudgetLedger()
-    ledger.charge("A", epsilon, mechanism)
-    ledger.charge("B", epsilon, mechanism)
-    return ledger
 
 
 class _LazySplits:
@@ -301,7 +321,11 @@ class ShardRun:
                 f"shard_index must lie in [0, {self.num_shards}), got {shard_index}"
             )
         return _collect_shard(
-            self._driver, self._ctx, self.method, shard_index, _as_policy(retries)
+            lambda s: self._driver.collect(self._ctx, s),
+            self._ctx,
+            shard_index,
+            self.method,
+            as_retry_policy(retries),
         )
 
     def collect_all(self) -> List[PartialAggregate]:
@@ -601,6 +625,7 @@ class _OracleDriver:
         return oracle
 
     def finalize(self, ctx: _OracleContext, merged: PartialAggregate) -> EstimateResult:
+        from ..api.estimators import _two_stream_ledger
         from ..mechanisms import estimate_join_via_frequencies
 
         oracle_a = self._restore(ctx, merged, "A")
@@ -623,16 +648,25 @@ class _OracleDriver:
 # ======================================================================
 # LDPJoinSketch+ — the two-round distributed protocol
 # ======================================================================
+class _PlusContext:
+    __slots__ = ("splits_a", "splits_b", "shard_seeds")
+
+    def __init__(self, splits_a, splits_b, shard_seeds):
+        self.splits_a = splits_a
+        self.splits_b = splits_b
+        self.shard_seeds = shard_seeds
+
+
 class _PlusDriver:
     """Faithful distributed LDPJoinSketch+: merge, broadcast FI, merge again.
 
-    Round 1: every shard splits *its own* users (sample / group 1 /
-    group 2, per-shard permutation), FAP-free-encodes its phase-1 sample
-    against the shared ``pairs1`` and emits a phase-1 partial.  The
-    coordinator reduces them, scans for frequent items and broadcasts
-    ``FI``.  Round 2: each shard FAP-encodes its two phase-2 groups
-    against the shared ``pairs2`` and emits a phase-2 partial; the
-    coordinator reduces and runs Algorithm 5 on the merged sketches.
+    Round 1: every shard splits *its own* users (per-shard permutation)
+    and emits its phase-1 partial.  The coordinator reduces them, scans
+    for frequent items and broadcasts ``FI``.  Round 2: each shard emits
+    its phase-2 FAP partial; the coordinator reduces and finalises
+    Algorithm 5.  Every step is the protocol's own
+    (:class:`~repro.core.LDPJoinSketchPlus`); the driver only distributes
+    them: plan-fixed randomness, splits, round fingerprints, reductions.
 
     Not expressible as a single-round :class:`ShardRun` (the FI broadcast
     is a barrier), so the driver owns the whole flow; both reduction
@@ -641,328 +675,78 @@ class _PlusDriver:
 
     rounds = 2
 
-    def run(
-        self,
-        estimator,
-        instance,
-        epsilon,
-        num_shards,
-        seed,
-        strategy,
-        merge,
-        *,
-        policy: Optional[RetryPolicy] = None,
-        degraded: bool = False,
-    ) -> EstimateResult:
-        from ..api.estimators import run_join_sketch_plus
-
-        params = SketchParams(estimator.k, estimator.m, epsilon)
-        phase1 = (
-            SketchParams(estimator.k, estimator.phase1_m, epsilon)
-            if estimator.phase1_m is not None
-            else params
-        )
-        if merge not in _MERGERS:
-            raise ParameterError(
-                f"merge must be one of {tuple(_MERGERS)}, got {merge!r}"
-            )
+    def run(self, estimator, instance, epsilon, num_shards, seed, strategy, collect_round, reduce):
+        protocol = estimator.protocol(epsilon)
         if num_shards == 1:
             # Identity plan: the serial two-phase run *is* the single
             # aggregator.
-            def serial() -> EstimateResult:
-                fault_point(
-                    "shard.collect", shard=0, method="ldp-join-sketch-plus"
-                )
-                return run_join_sketch_plus(
-                    instance.values_a,
-                    instance.values_b,
-                    instance.domain_size,
-                    params,
-                    sample_rate=estimator.sample_rate,
-                    threshold=estimator.threshold,
-                    phase1_params=(
-                        phase1 if estimator.phase1_m is not None else None
-                    ),
-                    paper_faithful_correction=estimator.paper_faithful_correction,
-                    seed=seed,
-                )
-
-            try:
-                if policy is None:
-                    return serial()
-                return policy.call(
-                    serial,
-                    operation="ldp-join-sketch-plus: collect shard 0",
-                    reset=_generator_reset(seed),
-                )
-            except _SHARD_LOSS_ERRORS as error:
-                if degraded:
-                    raise ShardLostError(
-                        "all 1 shard partial(s) lost; nothing to merge",
-                        lost=[0],
-                    ) from error
-                raise
-        protocol = LDPJoinSketchPlus(
-            params,
-            sample_rate=estimator.sample_rate,
-            threshold=estimator.threshold,
-            phase1_params=phase1,
-            paper_faithful_correction=estimator.paper_faithful_correction,
-        )
+            ctx = _PlusContext(None, None, [seed])
+            (result,) = collect_round(
+                lambda s: protocol.estimate(
+                    instance.values_a, instance.values_b, instance.domain_size, seed
+                ),
+                ctx,
+            )
+            return result, ctx
         arr_a = as_value_array(instance.values_a, "values_a")
         arr_b = as_value_array(instance.values_b, "values_b")
         rng = ensure_rng(seed)
+        phase1, params = protocol.phase1_params, protocol.params
         pairs1 = HashPairs(phase1.k, phase1.m, spawn(rng))
         pairs2 = HashPairs(params.k, params.m, spawn(rng))
         planner = ShardPlanner(num_shards, strategy=strategy)
-        shard_rngs = [
-            ensure_rng(s)
-            for s in ShardPlanner(
-                num_shards, strategy=strategy, seed=derive_seed(rng)
-            ).shard_seeds()
-        ]
-        splits_a = planner.split(arr_a)
-        splits_b = planner.split(arr_b)
+        shard_seeds = ShardPlanner(
+            num_shards, strategy=strategy, seed=derive_seed(rng)
+        ).shard_seeds()
+        ctx = _PlusContext(
+            planner.split(arr_a), planner.split(arr_b), [ensure_rng(s) for s in shard_seeds]
+        )
         fingerprint = {
-            "estimator": "ldp-join-sketch-plus",
+            "estimator": PLUS_METHOD,
             "k": params.k,
             "m": params.m,
             "phase1 m": phase1.m,
             "privacy budget (epsilon)": float(epsilon),
-            "hash pairs digest": fingerprint_digest(
-                [pairs1.to_dict(), pairs2.to_dict()]
-            ),
+            "hash pairs digest": fingerprint_digest([pairs1.to_dict(), pairs2.to_dict()]),
         }
-        # Phase partials never mix: the round travels in the fingerprint,
-        # so a tree fed phase-1 and phase-2 partials refuses outright.
-        fingerprint1 = {**fingerprint, "round": 1}
-        fingerprint2 = {**fingerprint, "round": 2}
-
         start = time.perf_counter()
-        lost: Set[int] = set()
+        groups: List[Optional[Dict[str, np.ndarray]]] = [None] * num_shards
 
-        # ---------------- Round 1: phase-1 partials -------------------
-        def round1_shard(s: int) -> Tuple[PartialAggregate, Tuple]:
-            rs = shard_rngs[s]
-            fault_point(
-                "shard.collect", shard=s, method="ldp-join-sketch-plus", round=1
-            )
-            sample_a, ga1, ga2 = protocol._split_users(splits_a[s], rs, "A")
-            sample_b, gb1, gb2 = protocol._split_users(splits_b[s], rs, "B")
-            partial = PartialAggregate("ldp-join-sketch-plus", fingerprint1)
-            for label, sample in (("SA", sample_a), ("SB", sample_b)):
-                batch = encode_reports(sample, phase1, pairs1, rs)
-                raw = np.zeros((phase1.k, phase1.m), dtype=np.int64)
-                scatter_add_signed_units(raw, (batch.rows, batch.cols), batch.ys)
-                partial.add_array(f"{label}:raw", raw)
-                partial.counters[f"{label}:num_reports"] = float(sample.size)
-            for name, group in (
-                ("A1", ga1), ("A2", ga2), ("B1", gb1), ("B2", gb2)
-            ):
-                partial.counters[f"{name}:size"] = float(group.size)
-            return partial, (ga1, ga2, gb1, gb2)
+        def phase1_shard(s: int) -> PartialAggregate:
+            rs = ctx.shard_seeds[s]
+            groups[s] = protocol.split(ctx.splits_a[s], ctx.splits_b[s], rs)
+            return protocol.phase1_partial(groups[s], pairs1, rs, fingerprint)
 
-        groups: List[Optional[Tuple]] = [None] * num_shards
-        round1: List[Optional[PartialAggregate]] = [None] * num_shards
-        for s in range(num_shards):
-            try:
-                if policy is None:
-                    round1[s], groups[s] = round1_shard(s)
-                else:
-                    round1[s], groups[s] = policy.call(
-                        lambda s=s: round1_shard(s),
-                        operation=f"ldp-join-sketch-plus: round-1 shard {s}",
-                        reset=_generator_reset(shard_rngs[s]),
-                    )
-            except _SHARD_LOSS_ERRORS:
-                # A shard that never produced a phase-1 partial is out of
-                # the protocol entirely: it holds no groups for round 2.
-                if not degraded:
-                    raise
-                lost.add(s)
-        if lost:
-            _require_surviving_coverage(
-                [int(splits_a[s].size) for s in range(num_shards)],
-                [int(splits_b[s].size) for s in range(num_shards)],
-                lost,
-            )
-        merged1 = _reduce(round1, merge, degraded=bool(lost))
-
-        # ---------------- Coordinator: FI broadcast -------------------
-        def _phase1_sketch(label: str) -> LDPJoinSketch:
-            counts = merged1.arrays[f"{label}:raw"].astype(np.float64)
-            counts *= phase1.scale
-            fwht_inplace(counts)
-            return LDPJoinSketch(
-                phase1, pairs1, counts,
-                int(merged1.counters[f"{label}:num_reports"]),
-            )
-
-        domain = require_positive_int("domain_size", instance.domain_size)
-        scan = find_frequent_items(
-            (_phase1_sketch("SA"), _phase1_sketch("SB")),
-            domain,
-            protocol.threshold,
-            method=protocol.fi_method,
+        round1 = collect_round(phase1_shard, ctx, 1)
+        merged1 = reduce(round1)
+        scan = protocol.scan(merged1, pairs1, instance.domain_size)
+        # FI is now broadcast: a round-2 loss cannot retract it.
+        round2 = collect_round(
+            lambda s: protocol.phase2_partial(
+                groups[s], pairs2, scan.items, ctx.shard_seeds[s], fingerprint
+            ),
+            ctx,
+            2,
         )
-        frequent_items = scan.items
-        sample_mass_a, sample_mass_b = scan.masses
-        # The frequent-item set is now *broadcast*: round-2 losses cannot
-        # retract it, but every downstream statistic (sample sizes, high
-        # masses, group sizes) is computed after round 2, over the final
-        # survivor set, so the accounting stays self-consistent.
-
-        # ---------------- Round 2: phase-2 FAP partials ---------------
-        def round2_shard(s: int) -> PartialAggregate:
-            rs = shard_rngs[s]
-            ga1, ga2, gb1, gb2 = groups[s]
-            fault_point(
-                "shard.collect", shard=s, method="ldp-join-sketch-plus", round=2
-            )
-            partial = PartialAggregate("ldp-join-sketch-plus", fingerprint2)
-            # Same per-shard encode order as the serial protocol:
-            # LA, LB, HA, HB.
-            for label, group, mode in (
-                ("LA", ga1, MODE_LOW),
-                ("LB", gb1, MODE_LOW),
-                ("HA", ga2, MODE_HIGH),
-                ("HB", gb2, MODE_HIGH),
-            ):
-                batch = fap_encode_reports(
-                    group, mode, params, pairs2, frequent_items, rs
-                )
-                raw = np.zeros((params.k, params.m), dtype=np.int64)
-                scatter_add_signed_units(raw, (batch.rows, batch.cols), batch.ys)
-                partial.add_array(f"{label}:raw", raw)
-                partial.counters[f"{label}:num_reports"] = float(group.size)
-            return partial
-
-        lost_in_round1 = set(lost)
-        round2: List[Optional[PartialAggregate]] = [None] * num_shards
-        for s in range(num_shards):
-            if s in lost:
-                continue
-            try:
-                if policy is None:
-                    round2[s] = round2_shard(s)
-                else:
-                    round2[s] = policy.call(
-                        lambda s=s: round2_shard(s),
-                        operation=f"ldp-join-sketch-plus: round-2 shard {s}",
-                        reset=_generator_reset(shard_rngs[s]),
-                    )
-            except _SHARD_LOSS_ERRORS:
-                if not degraded:
-                    raise
-                # Its phase-2 groups are gone; drop the shard's phase-1
-                # contribution too, so sample/group accounting describes
-                # one consistent survivor population.
-                lost.add(s)
+        lost_in_round2 = [
+            s for s in range(num_shards) if round1[s] is not None and round2[s] is None
+        ]
+        if lost_in_round2:
+            # Those shards took their phase-2 groups with them: drop their
+            # phase-1 partials too, so sample and group accounting describe
+            # one survivor population, and read the frequent mass from the
+            # survivors' sketches instead of the scan.
+            for s in lost_in_round2:
                 round1[s] = None
-        if lost != lost_in_round1:
-            _require_surviving_coverage(
-                [int(splits_a[s].size) for s in range(num_shards)],
-                [int(splits_b[s].size) for s in range(num_shards)],
-                lost,
-            )
-            merged1 = _reduce(round1, merge, degraded=True)
-            # The scan read shards that are now dropped: read the
-            # survivors' rebuilt sketches over the broadcast set instead.
-            sample_mass_a, sample_mass_b = [
-                float(np.sum(_phase1_sketch(label).frequencies(frequent_items)))
-                for label in ("SA", "SB")
-            ]
-        merged2 = _reduce(round2, merge, degraded=bool(lost))
-
-        # Covered population: in a fault-free run these equal the full
-        # stream sizes exactly (the splits partition the population).
-        covered_a = int(
-            sum(splits_a[s].size for s in range(num_shards) if s not in lost)
+            merged1 = reduce(round1)
+            scan = protocol.rescan(merged1, pairs1, scan.items)
+        result = protocol.finalize(merged1, reduce(round2), pairs2, scan, instance.domain_size)
+        result = replace(
+            result,
+            offline_seconds=time.perf_counter() - start,
+            extras={**result.extras, "num_shards": num_shards},
         )
-        covered_b = int(
-            sum(splits_b[s].size for s in range(num_shards) if s not in lost)
-        )
-        sample_size_a = int(merged1.counters["SA:num_reports"])
-        sample_size_b = int(merged1.counters["SB:num_reports"])
-        high_mass_a = protocol._population_mass(
-            sample_mass_a, covered_a, sample_size_a
-        )
-        high_mass_b = protocol._population_mass(
-            sample_mass_b, covered_b, sample_size_b
-        )
-
-        def _phase2_sketch(label: str) -> LDPJoinSketch:
-            counts = merged2.arrays[f"{label}:raw"].astype(np.float64)
-            counts *= params.scale
-            fwht_inplace(counts)
-            return LDPJoinSketch(
-                params, pairs2, counts,
-                int(merged2.counters[f"{label}:num_reports"]),
-            )
-
-        size_a1 = int(merged1.counters["A1:size"])
-        size_a2 = int(merged1.counters["A2:size"])
-        size_b1 = int(merged1.counters["B1:size"])
-        size_b2 = int(merged1.counters["B2:size"])
-        low_est = protocol._join_est(
-            _phase2_sketch("LA"),
-            _phase2_sketch("LB"),
-            nt_mass_a=protocol._group_mass(high_mass_a, size_a1, covered_a),
-            nt_mass_b=protocol._group_mass(high_mass_b, size_b1, covered_b),
-        )
-        high_est = protocol._join_est(
-            _phase2_sketch("HA"),
-            _phase2_sketch("HB"),
-            nt_mass_a=protocol._group_mass(
-                covered_a - high_mass_a, size_a2, covered_a
-            ),
-            nt_mass_b=protocol._group_mass(
-                covered_b - high_mass_b, size_b2, covered_b
-            ),
-        )
-        low_scaled = (covered_a * covered_b) / (size_a1 * size_b1) * low_est
-        high_scaled = (covered_a * covered_b) / (size_a2 * size_b2) * high_est
-        offline = time.perf_counter() - start
-
-        fi_bits = int(frequent_items.size) * max(
-            1, int(np.ceil(np.log2(max(domain, 2))))
-        )
-        phase1_bits = phase1.report_bits * (sample_size_a + sample_size_b)
-        phase2_bits = params.report_bits * (
-            size_a1 + size_a2 + size_b1 + size_b2
-        )
-        ledger = BudgetLedger()
-        for group_name in ("A-sample", "A1", "A2", "B-sample", "B1", "B2"):
-            ledger.charge(group_name, params.epsilon, "LDPJoinSketch+/FAP")
-        ledger.assert_within(PrivacySpec(params.epsilon))
-        result = EstimateResult(
-            estimate=low_scaled + high_scaled,
-            offline_seconds=offline,
-            uplink_bits=phase1_bits + phase2_bits,
-            sketch_bytes=2 * phase1.k * phase1.m * 8
-            + 4 * params.k * params.m * 8,
-            ledger=ledger,
-            extras={
-                "low_estimate": low_scaled,
-                "high_estimate": high_scaled,
-                "frequent_items": frequent_items,
-                "high_freq_mass_a": high_mass_a,
-                "high_freq_mass_b": high_mass_b,
-                "phase1_bits": phase1_bits,
-                "phase2_bits": phase2_bits,
-                "fi_broadcast_bits": fi_bits,
-                "num_shards": num_shards,
-            },
-        )
-        if lost:
-            result = _apply_degradation(
-                result,
-                strategy=strategy,
-                sizes_a=[int(splits_a[s].size) for s in range(num_shards)],
-                sizes_b=[int(splits_b[s].size) for s in range(num_shards)],
-                lost=sorted(lost),
-            )
-        return result
+        return result, ctx
 
 
 # ======================================================================
@@ -1084,49 +868,47 @@ def estimate_sharded(
     estimator = get_estimator(method, **options) if isinstance(method, str) else method
     num_shards = require_positive_int("num_shards", num_shards)
     key, driver = _driver_for(estimator)
-    policy = _as_policy(retries)
-    plan = _as_plan(fault_plan)
-    with injected(plan):
-        if getattr(driver, "rounds", 1) != 1:
-            return driver.run(
-                estimator,
-                instance,
-                epsilon,
-                num_shards,
-                seed,
-                strategy,
-                merge,
-                policy=policy,
-                degraded=degraded,
-            )
-        ctx = driver.prepare(
-            estimator, instance, epsilon, num_shards, seed, strategy
+    merger = _reducer(merge)
+    policy = as_retry_policy(retries)
+    lost: Set[int] = set()
+
+    def collect_round(collect, ctx, round_=None):
+        return _collect_round(
+            collect,
+            ctx,
+            num_shards,
+            method=key,
+            policy=policy,
+            degraded=degraded,
+            lost=lost,
+            round_=round_,
         )
-        start = time.perf_counter()
-        partials: List[Optional[PartialAggregate]] = []
-        lost: List[int] = []
-        for s in range(num_shards):
-            try:
-                partials.append(_collect_shard(driver, ctx, key, s, policy))
-            except _SHARD_LOSS_ERRORS:
-                if not degraded:
-                    raise
-                partials.append(None)
-                lost.append(s)
-        if lost:
-            _require_surviving_coverage(*_shard_sizes(ctx, num_shards), lost)
-        merged = _reduce(partials, merge, degraded=bool(lost))
-        offline = time.perf_counter() - start
-        result = driver.finalize(ctx, merged)
-        if result.offline_seconds == 0.0:
-            result = result.with_costs(offline_seconds=offline)
-        if lost:
-            sizes_a, sizes_b = _shard_sizes(ctx, num_shards)
-            result = _apply_degradation(
-                result,
-                strategy=strategy,
-                sizes_a=sizes_a,
-                sizes_b=sizes_b,
-                lost=lost,
+
+    def reduce(partials):
+        return merger(partials, degraded=degraded)
+
+    with injected(as_fault_plan(fault_plan)):
+        if getattr(driver, "rounds", 1) != 1:
+            result, ctx = driver.run(
+                estimator, instance, epsilon, num_shards, seed, strategy, collect_round, reduce
             )
-        return result
+        else:
+            ctx = driver.prepare(
+                estimator, instance, epsilon, num_shards, seed, strategy
+            )
+            start = time.perf_counter()
+            merged = reduce(collect_round(lambda s: driver.collect(ctx, s), ctx))
+            offline = time.perf_counter() - start
+            result = driver.finalize(ctx, merged)
+            if result.offline_seconds == 0.0:
+                result = result.with_costs(offline_seconds=offline)
+    if lost:
+        sizes_a, sizes_b = _shard_sizes(ctx, num_shards)
+        result = _apply_degradation(
+            result,
+            strategy=strategy,
+            sizes_a=sizes_a,
+            sizes_b=sizes_b,
+            lost=sorted(lost),
+        )
+    return result

@@ -52,8 +52,14 @@ from ..api.registry import JoinEstimator, get_estimator
 from ..data.base import JoinInstance
 from ..data.registry import make_join_instance
 from ..errors import ParameterError, RetryExhaustedError, SweepWorkerLostError
-from ..reliability.faults import FaultPlan, attempt_scope, fault_point, injected
-from ..reliability.retry import DEFAULT_RETRYABLE, RetryPolicy
+from ..reliability.faults import (
+    FaultPlan,
+    as_fault_plan,
+    attempt_scope,
+    fault_point,
+    injected,
+)
+from ..reliability.retry import DEFAULT_RETRYABLE, RetryPolicy, as_retry_policy
 from ..rng import RandomState, derive_seed, ensure_rng
 from ..validation import require_positive_int
 from .harness import TrialRecord, run_seeded_trials, run_trials
@@ -508,22 +514,6 @@ def _ensure_worker_faults(payload) -> None:
     _WORKER_FAULTS = payload
 
 
-def _as_policy(retries) -> Optional[RetryPolicy]:
-    """Normalise a ``retries=`` argument (None / int / policy / payload)."""
-    if retries is None or isinstance(retries, RetryPolicy):
-        return retries
-    if isinstance(retries, dict):
-        return RetryPolicy(**retries)
-    return RetryPolicy(int(retries))
-
-
-def _as_plan(fault_plan) -> Optional[FaultPlan]:
-    """Normalise a ``fault_plan=`` argument (None / plan / JSON file path)."""
-    if fault_plan is None or isinstance(fault_plan, FaultPlan):
-        return fault_plan
-    return FaultPlan.load(fault_plan)
-
-
 def _execute_remote(
     unit: SweepUnit,
     estimator: JoinEstimator,
@@ -553,7 +543,7 @@ def _execute_remote(
         crashable=True,
     )
     instance = _instance_from_ref(ref)
-    policy = _as_policy(retries)
+    policy = as_retry_policy(retries)
     # The resubmission attempt scopes the whole task: inner fault points
     # (shard.collect, session.ingest) see it instead of per-worker hit
     # counters, which would re-fire when a resubmission lands on a fresh
@@ -674,7 +664,7 @@ def _execute_shard_remote(
     instance = _instance_from_ref(ref)
     with attempt_scope(int(attempt)):  # see _execute_remote
         run = _prepared_shard_run(unit, estimator, instance, trial_seed)
-        partial = run.collect(shard_index, retries=_as_policy(retries))
+        partial = run.collect(shard_index, retries=retries)
     return ("shard", unit.index, trial_pos, shard_index, partial)
 
 
@@ -762,8 +752,8 @@ def iter_sweep(
     failure leaves the yielded records bit-identical.
     """
     workers = require_positive_int("workers", workers)
-    policy = _as_policy(retries)
-    faults = _as_plan(fault_plan)
+    policy = as_retry_policy(retries)
+    faults = as_fault_plan(fault_plan)
     if workers == 1 or (
         len(plan.units) <= 1 and not any(u.shards for u in plan.units)
     ):

@@ -16,7 +16,6 @@ from ..core.params import SketchParams
 from ..core.server import LDPJoinSketch
 from ..hashing import HashPairs
 from ..rng import RandomState, spawn
-from ..transform.hadamard import fwht
 from .base import FrequencyOracle
 
 __all__ = ["LDPJoinSketchOracle"]
@@ -63,11 +62,8 @@ class LDPJoinSketchOracle(FrequencyOracle):
     def sketch(self) -> LDPJoinSketch:
         """The constructed (transformed) sketch for direct use."""
         if self._dirty:
-            self._sketch = LDPJoinSketch(
-                self.params,
-                self.pairs,
-                fwht(self._raw.astype(np.float64) * self.params.scale),
-                self.num_reports,
+            self._sketch = LDPJoinSketch.from_raw(
+                self.params, self.pairs, self._raw, self.num_reports
             )
             self._dirty = False
         return self._sketch

@@ -33,19 +33,21 @@ from .faults import (
     FaultSpec,
     active_plan,
     arm,
+    as_fault_plan,
     attempt_scope,
     current_attempt,
     disarm,
     fault_point,
     injected,
 )
-from .retry import DEFAULT_RETRYABLE, AttemptRecord, RetryPolicy
+from .retry import DEFAULT_RETRYABLE, AttemptRecord, RetryPolicy, as_retry_policy
 
 __all__ = [
     # faults
     "FAULT_KINDS",
     "FaultSpec",
     "FaultPlan",
+    "as_fault_plan",
     "fault_point",
     "arm",
     "disarm",
@@ -55,6 +57,7 @@ __all__ = [
     "current_attempt",
     # retry
     "RetryPolicy",
+    "as_retry_policy",
     "AttemptRecord",
     "DEFAULT_RETRYABLE",
     # typed errors (re-exported from repro.errors)

@@ -63,6 +63,7 @@ __all__ = [
     "FAULT_KINDS",
     "FaultSpec",
     "FaultPlan",
+    "as_fault_plan",
     "fault_point",
     "arm",
     "disarm",
@@ -395,6 +396,13 @@ class FaultPlan:
             f"FaultPlan(name={self.name!r}, specs={len(self.specs)}, "
             f"seed={self.seed}, hard_crashes={self.hard_crashes})"
         )
+
+
+def as_fault_plan(fault_plan: Union[None, str, Path, FaultPlan]) -> Optional[FaultPlan]:
+    """Normalise a ``fault_plan=`` argument: a plan or a saved plan's path."""
+    if fault_plan is None or isinstance(fault_plan, FaultPlan):
+        return fault_plan
+    return FaultPlan.load(fault_plan)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from ..errors import (
 from ..rng import RandomState, ensure_rng
 from .faults import attempt_scope
 
-__all__ = ["AttemptRecord", "RetryPolicy", "DEFAULT_RETRYABLE"]
+__all__ = ["AttemptRecord", "RetryPolicy", "DEFAULT_RETRYABLE", "as_retry_policy"]
 
 #: Errors a policy retries by default: injected faults/crashes (chaos
 #: testing), plus the runtime errors a dying worker surfaces as.  Typed
@@ -226,3 +226,18 @@ class RetryPolicy:
             f"RetryPolicy(max_attempts={self.max_attempts}, "
             f"base_delay={self.base_delay}, backoff={self.backoff})"
         )
+
+
+def as_retry_policy(
+    retries: Union[None, int, dict, RetryPolicy],
+) -> Optional[RetryPolicy]:
+    """Normalise a ``retries=`` argument into a policy (or ``None``).
+
+    Accepts an attempt count, a policy, or the :meth:`RetryPolicy.to_dict`
+    payload a pool worker receives.
+    """
+    if retries is None or isinstance(retries, RetryPolicy):
+        return retries
+    if isinstance(retries, dict):
+        return RetryPolicy(**retries)
+    return RetryPolicy(int(retries))

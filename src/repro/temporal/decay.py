@@ -28,7 +28,6 @@ from ..core.server import LDPJoinSketch
 from ..distributed.partial import PartialAggregate
 from ..errors import ParameterError, ProtocolError
 from ..hashing import HashPairs
-from ..transform.hadamard import fwht_inplace
 
 __all__ = ["decay_weights", "combine_decayed", "decayed_join_estimate"]
 
@@ -162,12 +161,10 @@ def decayed_join_estimate(
                 f"stream {name!r} has no reports in any epoch of the window"
             )
         stream_params = SketchParams(params.k, pairs[attribute].m, params.epsilon)
-        counts = combine_decayed(arrays, weights).astype(np.float64)
-        counts *= stream_params.scale
+        combined = combine_decayed(arrays, weights)
         with use_backend(backend):
-            fwht_inplace(counts)
-        sketches.append(
-            LDPJoinSketch(stream_params, pairs[attribute], counts, num_reports)
-        )
+            sketches.append(
+                LDPJoinSketch.from_raw(stream_params, pairs[attribute], combined, num_reports)
+            )
     raw_estimate = sketches[0].join_size(sketches[1])
     return float(raw_estimate) / float(denominator ** (2 * (len(partials) - 1)))

@@ -196,43 +196,14 @@ class TestEstimateResult:
         assert (result.estimate, result.uplink_bits, result.sketch_bytes) == (1.0, 8, 16)
 
     def test_unifies_legacy_result_types(self):
-        from repro.core import JoinEstimate, PlusEstimate
+        from repro.core import PlusEstimate
         from repro.experiments.methods import MethodResult
 
-        assert JoinEstimate is EstimateResult
         assert PlusEstimate is EstimateResult
         assert MethodResult is EstimateResult
 
 
 class TestDeprecatedShims:
-    def test_run_ldp_join_sketch_warns_and_matches_api(self):
-        from repro.api import run_join_sketch
-        from repro.core import SketchParams, run_ldp_join_sketch
-
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 64, 4_000)
-        b = rng.integers(0, 64, 4_000)
-        params = SketchParams(k=3, m=64, epsilon=4.0)
-        with pytest.warns(DeprecationWarning, match="run_ldp_join_sketch"):
-            shim = run_ldp_join_sketch(a, b, params, seed=7)
-        direct = run_join_sketch(a, b, params, seed=7)
-        assert shim.estimate == direct.estimate
-        assert isinstance(shim, EstimateResult)
-
-    def test_run_ldp_join_sketch_plus_warns(self):
-        from repro.core import SketchParams, run_ldp_join_sketch_plus
-
-        rng = np.random.default_rng(1)
-        a = rng.integers(0, 64, 4_000)
-        b = rng.integers(0, 64, 4_000)
-        params = SketchParams(k=3, m=64, epsilon=4.0)
-        with pytest.warns(DeprecationWarning, match="run_ldp_join_sketch_plus"):
-            result = run_ldp_join_sketch_plus(a, b, 64, params, seed=8)
-        assert isinstance(result, EstimateResult)
-        # Protocol artefacts remain attribute-reachable through extras.
-        assert result.phase1_bits > 0
-        assert result.frequent_items is not None
-
     def test_default_methods_dispatch_through_registry(self):
         from repro.experiments.methods import default_methods
 

@@ -14,6 +14,7 @@ from repro.core import (
     build_sketch,
     encode_reports,
     estimate_join_size,
+    fap_encode_reports,
     find_frequent_items,
 )
 from repro.core.estimator import DEFAULT_SCAN_CHUNK, FrequentScan
@@ -327,10 +328,10 @@ def _reference_plus(protocol, values_a, values_b, domain_size, seed):
 
     params = protocol.params
     pairs2 = HashPairs(params.k, params.m, spawn(generator))
-    la = protocol._fap_sketch(a1, MODE_LOW, pairs2, fi, generator)
-    lb = protocol._fap_sketch(b1, MODE_LOW, pairs2, fi, generator)
-    ha = protocol._fap_sketch(a2, MODE_HIGH, pairs2, fi, generator)
-    hb = protocol._fap_sketch(b2, MODE_HIGH, pairs2, fi, generator)
+    la = build_sketch(fap_encode_reports(a1, MODE_LOW, params, pairs2, fi, generator), pairs2)
+    lb = build_sketch(fap_encode_reports(b1, MODE_LOW, params, pairs2, fi, generator), pairs2)
+    ha = build_sketch(fap_encode_reports(a2, MODE_HIGH, params, pairs2, fi, generator), pairs2)
+    hb = build_sketch(fap_encode_reports(b2, MODE_HIGH, params, pairs2, fi, generator), pairs2)
     low = protocol._join_est(
         la,
         lb,

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import LDPJoinSketchPlus, SketchParams
-from repro.errors import ParameterError, ProtocolError
+from repro.distributed import PartialAggregate
+from repro.errors import IncompatibleSketchError, ParameterError, ProtocolError
+from repro.hashing import HashPairs
 from repro.join import exact_join_size
+from repro.privacy.budget import PrivacySpec
+from repro.rng import spawn
 
 from .conftest import zipf_values
 
@@ -142,6 +148,87 @@ class TestEndToEnd:
         assert protocol._group_mass(2_000.0, 100, 1000) == pytest.approx(100.0)
 
 
+def _through_json(partial: PartialAggregate) -> PartialAggregate:
+    return PartialAggregate.from_dict(json.loads(json.dumps(partial.to_dict())))
+
+
+class TestPhaseBoundary:
+    """``estimate`` is the phase steps run once, as a single shard."""
+
+    DOMAIN = 512
+
+    def _by_hand(self, protocol, a, b, seed):
+        generator = np.random.default_rng(seed)
+        groups = protocol.split(a, b, generator)
+        phase1 = protocol.phase1_params
+        pairs1 = HashPairs(phase1.k, phase1.m, spawn(generator))
+        merged1 = _through_json(protocol.phase1_partial(groups, pairs1, generator, {}))
+        scan = protocol.scan(merged1, pairs1, self.DOMAIN)
+        pairs2 = HashPairs(protocol.params.k, protocol.params.m, spawn(generator))
+        merged2 = _through_json(
+            protocol.phase2_partial(groups, pairs2, scan.items, generator, {})
+        )
+        return merged1, merged2, protocol.finalize(merged1, merged2, pairs2, scan, self.DOMAIN)
+
+    def test_estimate_equals_phase_steps_through_the_wire(self):
+        protocol = make_protocol(phase1_params=SketchParams(k=5, m=128, epsilon=8.0))
+        a = zipf_values(20_000, self.DOMAIN, 1.3, seed=61)
+        b = zipf_values(18_000, self.DOMAIN, 1.2, seed=62)
+        result = protocol.estimate(a, b, self.DOMAIN, rng=63)
+        merged1, merged2, by_hand = self._by_hand(protocol, a, b, 63)
+
+        assert sorted(merged1.arrays) == ["SA:raw", "SB:raw"]
+        assert sorted(merged2.arrays) == ["HA:raw", "HB:raw", "LA:raw", "LB:raw"]
+        assert all(array.dtype == np.int64 for array in merged1.arrays.values())
+        assert {"A1:size", "A2:size", "B1:size", "B2:size"} <= set(merged1.counters)
+        assert by_hand.estimate == result.estimate
+        assert by_hand.uplink_bits == result.uplink_bits
+        assert by_hand.sketch_bytes == result.sketch_bytes
+        assert by_hand.ledger.charges == result.ledger.charges
+        assert set(by_hand.extras) == set(result.extras)
+        for key, value in result.extras.items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(by_hand.extras[key], value)
+                assert by_hand.extras[key].dtype == value.dtype
+            else:
+                assert by_hand.extras[key] == value, key
+        assert result.frequent_items.size > 0
+
+    def test_estimate_carries_the_six_group_ledger(self, skewed_pair):
+        a, b, domain = skewed_pair
+        result = make_protocol().estimate(a, b, domain, rng=5)
+        charges = result.ledger.charges
+        assert [group for group, _, _ in charges] == [
+            "A-sample", "A1", "A2", "B-sample", "B1", "B2"
+        ]
+        assert all(epsilon == 8.0 for _, epsilon, _ in charges)
+        result.ledger.assert_within(PrivacySpec(8.0))
+        assert result.ledger.worst_case_epsilon() == pytest.approx(8.0)
+
+    def test_rescan_reads_the_scan_mass_back(self, skewed_pair):
+        a, b, domain = skewed_pair
+        protocol = make_protocol()
+        generator = np.random.default_rng(7)
+        groups = protocol.split(a, b, generator)
+        pairs1 = HashPairs(5, 256, spawn(generator))
+        merged1 = protocol.phase1_partial(groups, pairs1, generator, {})
+        scan = protocol.scan(merged1, pairs1, domain)
+        again = protocol.rescan(merged1, pairs1, scan.items)
+        assert again.items is scan.items
+        assert again.masses == pytest.approx(scan.masses)
+
+    def test_phase_partials_never_merge_across_rounds(self, skewed_pair):
+        a, b, _ = skewed_pair
+        protocol = make_protocol()
+        generator = np.random.default_rng(8)
+        groups = protocol.split(a, b, generator)
+        pairs = HashPairs(5, 256, spawn(generator))
+        phase1 = protocol.phase1_partial(groups, pairs, generator, {})
+        phase2 = protocol.phase2_partial(groups, pairs, np.arange(3), generator, {})
+        with pytest.raises(IncompatibleSketchError):
+            phase1.merge(phase2)
+
+
 class TestSeparationMechanism:
     """Algorithm 5's claim: the partial join sizes are recovered separately.
 
@@ -181,7 +268,7 @@ class TestSeparationMechanism:
     def test_comparable_to_plain_at_moderate_scale(self):
         """LDPJS+ stays within a small factor of plain LDPJS when FI is
         clean — the regression guard for the laptop-scale regime."""
-        from repro.core import run_ldp_join_sketch
+        from repro.api import run_join_sketch
 
         params = SketchParams(k=9, m=128, epsilon=8.0)
         a = zipf_values(50_000, 1024, 1.3, seed=21)
@@ -190,7 +277,7 @@ class TestSeparationMechanism:
         plus = LDPJoinSketchPlus(params, sample_rate=0.2, threshold=0.02)
         errors_plain, errors_plus = [], []
         for seed in range(5):
-            plain = run_ldp_join_sketch(a, b, params, seed=seed).estimate
+            plain = run_join_sketch(a, b, params, seed=seed).estimate
             errors_plain.append(abs(plain - truth))
             errors_plus.append(abs(plus.estimate(a, b, 1024, rng=seed).estimate - truth))
         assert np.mean(errors_plus) < 10 * np.mean(errors_plain) + 0.05 * truth

@@ -15,7 +15,7 @@ from repro.errors import IncompatibleSketchError, ParameterError
 from repro.hashing import HashPairs
 from repro.join import exact_join_size
 from repro.sketches import FastAGMSSketch
-from repro.transform import hadamard_matrix
+from repro.transform import fwht, hadamard_matrix
 
 from .conftest import zipf_values
 
@@ -32,6 +32,15 @@ class TestConstruction:
             raw[j, l] += small_params.k * small_params.c_epsilon * y
         expected = raw @ hadamard_matrix(small_params.m).T
         assert np.allclose(sketch.counts, expected)
+
+    def test_from_raw_scales_then_inverts(self, small_params, small_pairs):
+        """from_raw: one float copy scaled by k c_eps, one FWHT; raw untouched."""
+        raw = np.random.default_rng(3).integers(-40, 40, size=(small_params.k, small_params.m))
+        before = raw.copy()
+        sketch = LDPJoinSketch.from_raw(small_params, small_pairs, raw, 9)
+        np.testing.assert_array_equal(sketch.counts, fwht(raw.astype(np.float64) * small_params.scale))
+        np.testing.assert_array_equal(raw, before)
+        assert sketch.num_reports == 9
 
     def test_num_reports_recorded(self, small_params, small_pairs):
         reports = encode_reports(np.arange(17), small_params, small_pairs, 2)

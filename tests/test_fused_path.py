@@ -18,7 +18,6 @@ import pytest
 from repro.accumulate import scatter_add, scatter_add_signed_units, scatter_count
 from repro.api import JoinSession
 from repro.core import (
-    LDPJoinSketchAggregator,
     SketchParams,
     build_sketch,
     encode_report,
@@ -157,8 +156,8 @@ class TestFusedEquivalence:
         values = np.random.default_rng(11).integers(0, 1_000, size=6_000)
         batch = encode_reports(values, params, pairs, np.random.default_rng(12))
         direct = build_sketch(batch, pairs)
-        agg = LDPJoinSketchAggregator(params, pairs).ingest(batch)
-        np.testing.assert_allclose(direct.counts, agg.sketch().counts, rtol=1e-12)
+        session = JoinSession(params, pairs=[pairs]).collect("A", batch)
+        np.testing.assert_allclose(direct.counts, session.sketch("A").counts, rtol=1e-12)
 
     def test_merge_results_unchanged_by_fused_ingestion(self, params):
         """Sharded sessions reproduce the single-collector accumulator."""

@@ -11,12 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    LDPJoinSketchAggregator,
-    SketchParams,
-    encode_reports,
-    run_ldp_join_sketch,
-)
+from repro.api import run_join_sketch
+from repro.core import SketchParams, build_sketch, encode_reports
 from repro.data import ZipfGenerator, make_join_instance
 from repro.hashing import HashPairs
 from repro.mechanisms import LDPJoinSketchOracle
@@ -33,7 +29,7 @@ class TestEpsilonLimit:
 
         ldp_errors, fagms_errors = [], []
         for seed in range(4):
-            ldp = run_ldp_join_sketch(
+            ldp = run_join_sketch(
                 instance.values_a, instance.values_b, params, seed=seed
             ).estimate
             ldp_errors.append(abs(ldp - truth) / truth)
@@ -59,7 +55,7 @@ class TestEpsilonLimit:
                 np.mean(
                     [
                         abs(
-                            run_ldp_join_sketch(
+                            run_join_sketch(
                                 instance.values_a, instance.values_b, params, seed=s
                             ).estimate
                             - truth
@@ -81,11 +77,11 @@ class TestOracleSketchConsistency:
         oracle = LDPJoinSketchOracle(domain, 4.0, seed=4, k=3, m=64)
         oracle.collect(values, rng=np.random.default_rng(5))
 
-        manual = LDPJoinSketchAggregator(oracle.params, oracle.pairs)
-        manual.ingest(
-            encode_reports(values, oracle.params, oracle.pairs, np.random.default_rng(5))
+        manual = build_sketch(
+            encode_reports(values, oracle.params, oracle.pairs, np.random.default_rng(5)),
+            oracle.pairs,
         )
-        assert np.allclose(oracle.sketch().counts, manual.sketch().counts)
+        assert np.allclose(oracle.sketch().counts, manual.counts)
 
 
 class TestRegistryToProtocolPipeline:
@@ -93,7 +89,7 @@ class TestRegistryToProtocolPipeline:
     def test_registry_instance_flows_through_protocol(self, name):
         instance = make_join_instance(name, scale=0.003, seed=6)
         params = SketchParams(k=5, m=256, epsilon=8.0)
-        result = run_ldp_join_sketch(
+        result = run_join_sketch(
             instance.values_a, instance.values_b, params, seed=7
         )
         assert np.isfinite(result.estimate)

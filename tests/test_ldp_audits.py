@@ -173,11 +173,11 @@ class TestHCMSAudit:
 class TestCompositionOfPlusProtocol:
     def test_groups_are_disjoint_so_budget_is_epsilon(self):
         """LDPJoinSketch+ charges each user exactly once (Section V-A)."""
-        from repro.core import run_ldp_join_sketch_plus
+        from repro.api import run_join_sketch_plus
 
         rng = np.random.default_rng(7)
         values = rng.integers(0, 64, size=2_000)
-        result = run_ldp_join_sketch_plus(
+        result = run_join_sketch_plus(
             values, values, 64, SketchParams(2, 16, 2.0), seed=8
         )
         assert result.ledger.worst_case_epsilon() == pytest.approx(2.0)

@@ -22,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.distributed.collectors as collectors
+import repro.core.plus as plus
 from repro.api import get_estimator
 from repro.core import LDPJoinSketchPlus, SketchParams
 from repro.core.estimator import DEFAULT_SCAN_CHUNK
@@ -257,14 +257,14 @@ class TestPlusWideDomainChaos:
         instance = JoinInstance("chaos-planted", planted(26), planted(27), self.DOMAIN)
         options = dict(k=4, m=256, sample_rate=0.2, threshold=0.1)
         scans = []
-        scan = collectors.find_frequent_items
+        scan = plus.find_frequent_items
 
         def spy(sketches, *args, **kwargs):
             result = scan(sketches, *args, **kwargs)
             scans.append((sketches, result))
             return result
 
-        monkeypatch.setattr(collectors, "find_frequent_items", spy)
+        monkeypatch.setattr(plus, "find_frequent_items", spy)
 
         def lose(round_):
             spec = FaultSpec(
