@@ -1,16 +1,19 @@
-"""Tests for the streaming aggregator (:mod:`repro.core.aggregator`)."""
+"""Streaming aggregation of wire report batches.
+
+:class:`repro.api.JoinSession` is the one aggregator: it folds pre-encoded
+:class:`~repro.core.ReportBatch` cohorts into int64 accumulators and builds
+sketches on query through :meth:`~repro.core.LDPJoinSketch.from_raw`.  These
+tests hold it to the core batch builder :func:`repro.core.build_sketch` and
+to its ingest, caching and merge contract.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    LDPJoinSketchAggregator,
-    SketchParams,
-    build_sketch,
-    encode_reports,
-)
+from repro.api import JoinSession
+from repro.core import ReportBatch, SketchParams, build_sketch, encode_reports
 from repro.errors import IncompatibleSketchError, ParameterError, ProtocolError
 from repro.hashing import HashPairs
 
@@ -24,6 +27,16 @@ def setup():
     return params, pairs
 
 
+def _session(params, pairs) -> JoinSession:
+    return JoinSession(params, pairs=[pairs])
+
+
+def _slice(reports: ReportBatch, lo: int, hi: int) -> ReportBatch:
+    return ReportBatch(
+        reports.ys[lo:hi], reports.rows[lo:hi], reports.cols[lo:hi], reports.params
+    )
+
+
 class TestIngestion:
     def test_incremental_equals_batch(self, setup):
         params, pairs = setup
@@ -31,20 +44,14 @@ class TestIngestion:
         reports = encode_reports(values, params, pairs, 3)
         batch_sketch = build_sketch(reports, pairs)
 
-        agg = LDPJoinSketchAggregator(params, pairs)
+        session = _session(params, pairs)
         third = len(reports) // 3
-        agg.ingest(
-            type(reports)(
-                reports.ys[:third], reports.rows[:third], reports.cols[:third], params
-            )
-        )
-        agg.ingest(
-            type(reports)(
-                reports.ys[third:], reports.rows[third:], reports.cols[third:], params
-            )
-        )
-        assert np.allclose(agg.sketch().counts, batch_sketch.counts)
-        assert agg.num_reports == batch_sketch.num_reports
+        session.collect("A", _slice(reports, 0, third))
+        session.collect("A", _slice(reports, third, len(reports)))
+        # Integer accumulation is exact and both paths share one
+        # raw->sketch step, so batch boundaries leave no trace.
+        np.testing.assert_array_equal(session.sketch("A").counts, batch_sketch.counts)
+        assert session.num_reports("A") == batch_sketch.num_reports
 
     def test_ingest_many(self, setup):
         params, pairs = setup
@@ -52,56 +59,84 @@ class TestIngestion:
             encode_reports(zipf_values(500, 50, 1.1, seed=s), params, pairs, s)
             for s in range(4)
         ]
-        agg = LDPJoinSketchAggregator(params, pairs).ingest_many(batches)
-        assert agg.num_reports == 2_000
+        session = _session(params, pairs)
+        for batch in batches:
+            session.collect("A", batch)
+        assert session.num_reports("A") == 2_000
+        merged = build_sketch(batches[0], pairs)
+        for batch in batches[1:]:
+            merged = merged.merge(build_sketch(batch, pairs))
+        # Merged sketches sum four transforms in float; near-zero cells carry
+        # rounding only, so the tolerance is absolute, scaled to the sketch.
+        np.testing.assert_allclose(
+            session.sketch("A").counts,
+            merged.counts,
+            rtol=1e-9,
+            atol=1e-9 * float(np.abs(merged.counts).max()),
+        )
 
     def test_param_mismatch_rejected(self, setup):
         params, pairs = setup
-        other_params = SketchParams(params.k, params.m, 9.0)
-        reports = encode_reports([1, 2], other_params, pairs, 4)
-        agg = LDPJoinSketchAggregator(params, pairs)
-        with pytest.raises(IncompatibleSketchError, match="different protocol"):
-            agg.ingest(reports)
+        wide = SketchParams(params.k, 2 * params.m, params.epsilon)
+        reports = encode_reports([1, 2], wide, HashPairs(wide.k, wide.m, 4), 4)
+        session = _session(params, pairs)
+        with pytest.raises(IncompatibleSketchError, match="do not match"):
+            session.collect("A", reports)
+        # A refused batch spends no budget and leaves nothing to query.
+        assert session.ledger.charges == []
+        assert session.num_reports("A") == 0
 
     def test_pairs_shape_validated(self, setup):
         params, _ = setup
-        with pytest.raises(ParameterError):
-            LDPJoinSketchAggregator(params, HashPairs(params.k + 1, params.m, 5))
+        with pytest.raises(ParameterError, match="k=3"):
+            JoinSession(params, pairs=[HashPairs(params.k + 1, params.m, 5)])
 
     def test_query_before_ingest_rejected(self, setup):
         params, pairs = setup
+        session = _session(params, pairs)
+        with pytest.raises(ProtocolError, match="two end streams"):
+            session.estimate()
+        empty = encode_reports(np.zeros(0, dtype=np.int64), params, pairs, 5)
+        session.collect("A", empty)
         with pytest.raises(ProtocolError, match="no reports"):
-            LDPJoinSketchAggregator(params, pairs).sketch()
+            session.sketch("A")
 
 
 class TestCachingAndQueries:
     def test_sketch_cached_until_new_data(self, setup):
         params, pairs = setup
-        agg = LDPJoinSketchAggregator(params, pairs)
-        agg.ingest(encode_reports([1, 2, 3], params, pairs, 6))
-        first = agg.sketch()
-        assert agg.sketch() is first  # cached
-        agg.ingest(encode_reports([4], params, pairs, 7))
-        assert agg.sketch() is not first  # invalidated
+        session = _session(params, pairs)
+        session.collect("A", encode_reports([1, 2, 3], params, pairs, 6))
+        first = session.sketch("A")
+        assert session.sketch("A") is first  # cached
+        session.collect("A", encode_reports([4], params, pairs, 7))
+        second = session.sketch("A")
+        assert second is not first  # invalidated by collect
+        shard = _session(params, pairs)
+        shard.collect("A", encode_reports([5], params, pairs, 8))
+        session.merge(shard)
+        assert session.sketch("A") is not second  # invalidated by merge
+        assert session.num_reports("A") == 5
 
     def test_join_between_aggregators(self, setup):
         params, pairs = setup
         a = zipf_values(20_000, 128, 1.4, seed=8)
         b = zipf_values(20_000, 128, 1.4, seed=9)
-        agg_a = LDPJoinSketchAggregator(params, pairs)
-        agg_a.ingest(encode_reports(a, params, pairs, 10))
-        agg_b = LDPJoinSketchAggregator(params, pairs)
-        agg_b.ingest(encode_reports(b, params, pairs, 11))
-        direct = agg_a.sketch().join_size(agg_b.sketch())
-        assert agg_a.join_size(agg_b) == pytest.approx(direct)
+        reports_a = encode_reports(a, params, pairs, 10)
+        reports_b = encode_reports(b, params, pairs, 11)
+        session = _session(params, pairs)
+        session.collect("A", reports_a)
+        session.collect("B", reports_b)
+        direct = build_sketch(reports_a, pairs).join_size(build_sketch(reports_b, pairs))
+        assert session.estimate("A", "B").estimate == pytest.approx(direct)
 
     def test_frequencies_passthrough(self, setup):
         params, pairs = setup
         values = np.full(3_000, 7, dtype=np.int64)
-        agg = LDPJoinSketchAggregator(params, pairs)
-        agg.ingest(encode_reports(values, params, pairs, 12))
-        assert agg.frequencies(np.asarray([7]))[0] == pytest.approx(
-            agg.sketch().frequency(7)
+        session = _session(params, pairs)
+        session.collect("A", encode_reports(values, params, pairs, 12))
+        assert session.frequencies("A", np.asarray([7]))[0] == pytest.approx(
+            session.sketch("A").frequency(7)
         )
 
 
@@ -112,28 +147,30 @@ class TestSharding:
         reports = encode_reports(values, params, pairs, 14)
         half = len(reports) // 2
 
-        shard1 = LDPJoinSketchAggregator(params, pairs)
-        shard1.ingest(
-            type(reports)(reports.ys[:half], reports.rows[:half], reports.cols[:half], params)
-        )
-        shard2 = LDPJoinSketchAggregator(params, pairs)
-        shard2.ingest(
-            type(reports)(reports.ys[half:], reports.rows[half:], reports.cols[half:], params)
-        )
-        shard1.merge(shard2)
+        shard1 = _session(params, pairs).collect("A", _slice(reports, 0, half))
+        shard2 = _session(params, pairs).collect("A", _slice(reports, half, len(reports)))
+        # The second shard arrives over the wire as a partial aggregate.
+        shard1.merge(shard2.to_partial())
 
-        single = LDPJoinSketchAggregator(params, pairs).ingest(reports)
-        assert np.allclose(shard1.sketch().counts, single.sketch().counts)
+        single = _session(params, pairs).collect("A", reports)
+        np.testing.assert_array_equal(shard1.sketch("A").counts, single.sketch("A").counts)
+        assert shard1.num_reports("A") == len(reports)
 
     def test_merge_requires_shared_pairs(self, setup):
         params, pairs = setup
-        other = LDPJoinSketchAggregator(params, HashPairs(params.k, params.m, 15))
-        agg = LDPJoinSketchAggregator(params, pairs)
-        with pytest.raises(IncompatibleSketchError, match="share"):
-            agg.merge(other)
+        other = _session(params, HashPairs(params.k, params.m, 15))
+        other.collect("A", [1, 2, 3], seed=16)
+        session = _session(params, pairs)
+        with pytest.raises(IncompatibleSketchError, match="hash pairs"):
+            session.merge(other)
+        with pytest.raises(IncompatibleSketchError, match="hash pairs"):
+            session.merge(other.to_partial())
 
     def test_merge_type_checked(self, setup):
         params, pairs = setup
-        agg = LDPJoinSketchAggregator(params, pairs)
+        session = _session(params, pairs)
+        sketch = build_sketch(encode_reports([1, 2], params, pairs, 17), pairs)
+        with pytest.raises(IncompatibleSketchError, match="LDPJoinSketch"):
+            session.merge(sketch)
         with pytest.raises(IncompatibleSketchError):
-            agg.merge("not an aggregator")
+            session.merge("not an aggregator")

@@ -44,6 +44,8 @@ from repro.reliability import (
     RetryPolicy,
     active_plan,
     arm,
+    as_fault_plan,
+    as_retry_policy,
     attempt_scope,
     current_attempt,
     disarm,
@@ -163,6 +165,14 @@ class TestFaultPlan:
         bad_version = dict(plan.to_dict(), version=99)
         with pytest.raises(ParameterError):
             FaultPlan.from_dict(bad_version)
+
+    def test_as_fault_plan_accepts_plan_or_saved_path(self, tmp_path):
+        plan = FaultPlan([FaultSpec(point="shard.collect", kind="error")], seed=3)
+        path = plan.save(tmp_path / "plan.json")
+        assert as_fault_plan(None) is None
+        assert as_fault_plan(plan) is plan
+        assert as_fault_plan(path).to_dict() == plan.to_dict()
+        assert as_fault_plan(str(path)).to_dict() == plan.to_dict()
 
     def test_random_plans_are_seed_deterministic(self):
         kwargs = dict(
@@ -288,6 +298,16 @@ class TestRetryPolicy:
         policy = RetryPolicy(4, base_delay=0.1, backoff=3.0, jitter=0.2, max_delay=9.0)
         clone = RetryPolicy(**policy.to_dict())
         assert clone.to_dict() == policy.to_dict()
+
+    def test_as_retry_policy_accepts_count_policy_and_payload(self):
+        policy = RetryPolicy(4, base_delay=0.1, backoff=3.0, jitter=0.2, max_delay=9.0)
+        assert as_retry_policy(None) is None
+        assert as_retry_policy(policy) is policy
+        assert as_retry_policy(5).max_attempts == 5
+        # The payload a pool worker receives rebuilds the same policy.
+        assert as_retry_policy(policy.to_dict()).to_dict() == policy.to_dict()
+        with pytest.raises(ParameterError):
+            as_retry_policy(0)
 
 
 # ----------------------------------------------------------------------
