@@ -1,7 +1,7 @@
 """Load generator for the online aggregation service (``repro.service``).
 
 Drives the real asyncio HTTP server end to end — socket, HTTP/1.1
-parsing, admission control, WAL append + fsync, shard fold — with a
+parsing, admission control, WAL append + fsync, session fold — with a
 handful of keep-alive client connections POSTing batched reports, then
 measures query latency against the published snapshot.  The numbers land
 in the ``service`` section of ``BENCH_perf.json`` (schema v6):
@@ -90,7 +90,6 @@ WINDOW_EPOCH_INTERVAL = 8
 WINDOW_EPOCHS = 8
 WINDOW_QUERY = 4
 
-SERVICE_SHARDS = 4
 SERVICE_SEED = 20240101
 
 
@@ -195,7 +194,6 @@ async def _run(total_reports: int, queries: int, data_dir: Path) -> dict:
     service = AggregationService(
         ServiceConfig(
             data_dir=data_dir,
-            num_shards=SERVICE_SHARDS,
             seed=SERVICE_SEED,
         )
     )
@@ -254,7 +252,6 @@ async def _run(total_reports: int, queries: int, data_dir: Path) -> dict:
         "batch_reports": BATCH_REPORTS,
         "batches": len(batches),
         "connections": CONNECTIONS,
-        "shards": SERVICE_SHARDS,
         "throttled": counters["throttled"],
         "ingest_seconds": ingest_seconds,
         "ingest_reports_per_sec": (
@@ -283,7 +280,6 @@ async def _run_replicated(total_reports: int, data_dir: Path) -> dict:
     standby = ReplicatedService(
         ServiceConfig(
             data_dir=data_dir / "standby",
-            num_shards=SERVICE_SHARDS,
             seed=SERVICE_SEED,
         ),
         role="standby",
@@ -298,8 +294,7 @@ async def _run_replicated(total_reports: int, data_dir: Path) -> dict:
         primary = ReplicatedService(
             ServiceConfig(
                 data_dir=data_dir / "primary",
-                num_shards=SERVICE_SHARDS,
-                seed=SERVICE_SEED,
+                    seed=SERVICE_SEED,
             ),
             role="primary",
             replicas=[HttpReplica(*standby_address)],
@@ -374,7 +369,6 @@ async def _run_windowed(total_reports: int, queries: int, data_dir: Path) -> dic
     service = AggregationService(
         ServiceConfig(
             data_dir=data_dir,
-            num_shards=SERVICE_SHARDS,
             seed=SERVICE_SEED,
             epoch_interval=WINDOW_EPOCH_INTERVAL,
             window_epochs=WINDOW_EPOCHS,

@@ -40,7 +40,7 @@ every PR has a perf baseline to beat:
 * ``service`` (schema v5) — the online aggregation service
   (:mod:`repro.service`) under load: a handful of keep-alive HTTP
   connections POST batched reports through the real asyncio server
-  (socket → admission control → WAL append + fsync → shard fold),
+  (socket → admission control → WAL append + fsync → session fold),
   recording sustained acknowledged-report throughput, per-batch ack
   latency and ``GET /v1/estimate`` p50/p99 against the published
   snapshot.  CI's ``--min-service-ingest`` floor reads
@@ -680,7 +680,6 @@ _SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
         "batch_reports",
         "batches",
         "connections",
-        "shards",
         "throttled",
         "ingest_seconds",
         "ingest_reports_per_sec",

@@ -54,14 +54,11 @@ class ShardCheckpoint:
     contents — the previous checkpoint gone, its replacement garbage —
     which is precisely what the atomic dance promises cannot happen;
     skipping the directory fsync would let a power cut forget the rename
-    itself.  ``fsync=False`` is accepted for backward compatibility but
-    no longer weakens the guarantee: atomicity that evaporates on the
-    first real crash is not atomicity.
+    itself.
     """
 
-    def __init__(self, path: Union[str, Path], *, fsync: bool = True) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.fsync = bool(fsync)
 
     def flush(self, partial: PartialAggregate, *, cursor: int) -> None:
         """Write ``partial`` + ``cursor`` atomically (temp + rename)."""

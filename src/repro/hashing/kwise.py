@@ -268,7 +268,11 @@ class KWiseHash:
         scalar = np.isscalar(values)
         x = np.asarray(values, dtype=np.int64)
         check_domain(x)
-        out = polyval_mersenne(self.coefficients, x.astype(np.uint64)).astype(np.int64)
+        # Evaluated flat: a 0-d input would compute on numpy scalars,
+        # which warn when mod_mersenne31's conditional subtraction wraps
+        # around (arrays wrap silently, and the result is the same).
+        flat = x.reshape(-1).astype(np.uint64)
+        out = polyval_mersenne(self.coefficients, flat).astype(np.int64).reshape(x.shape)
         if scalar:
             return int(out)
         return out

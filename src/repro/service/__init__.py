@@ -9,7 +9,7 @@ machinery — into a long-running, *replicated* HTTP collector:
   fencing-epoch header, the durability boundary every acknowledgement
   sits behind.
 * :mod:`repro.service.core` — the synchronous, deterministic engine:
-  WAL-sequenced folds into per-shard sessions, checkpoint cadence,
+  WAL-sequenced folds into one session accumulator, checkpoint cadence,
   WAL-durable idempotency ledger (exactly-once ingest), canonical
   published snapshots, crash recovery.
 * :mod:`repro.service.replication` — primary/standby WAL-frame

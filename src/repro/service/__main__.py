@@ -36,9 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--data-dir",
         type=Path,
         required=True,
-        help="directory for the WAL and shard checkpoints (created if absent)",
+        help="directory for the WAL and the node checkpoint (created if absent)",
     )
-    parser.add_argument("--shards", type=int, default=4, help="shard aggregator count")
     parser.add_argument("--k", type=int, default=16, help="sketch depth")
     parser.add_argument("--m", type=int, default=1024, help="sketch width")
     parser.add_argument("--epsilon", type=float, default=4.0, help="privacy budget")
@@ -148,7 +147,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             k=args.k,
             m=args.m,
             epsilon=args.epsilon,
-            num_shards=args.shards,
             seed=args.seed,
             checkpoint_interval=args.checkpoint_interval,
             wal_fsync=args.wal_fsync,

@@ -2,9 +2,9 @@
 
 :class:`AggregationService` is the crash-safe, *synchronous* core the
 asyncio front-end (:mod:`repro.service.server`) wraps: it owns the WAL,
-the per-shard :class:`~repro.api.JoinSession` aggregators, their
-:class:`~repro.distributed.ShardCheckpoint`\\ s, and the published
-snapshot queries are answered from.  Everything here is a pure function
+one :class:`~repro.api.JoinSession` accumulator, its
+:class:`~repro.distributed.ShardCheckpoint`, and the published snapshot
+queries are answered from.  Everything here is a pure function
 of the report stream — no wall clock, no global RNG — which is what
 makes the headline invariant testable: kill the process at any instant,
 restart, and the next published snapshot is byte-identical to a run that
@@ -17,17 +17,14 @@ The determinism chain, link by link:
 2.  The batch's client-simulation randomness is
     ``batch_seed(service_seed, sequence)`` — a sha256 derivation, so a
     replayed fold draws exactly the bits the dying process drew.
-3.  The batch's shard is ``sequence % num_shards``; streams are
-    namespaced ``tenant/stream`` on hash pairs shared by every shard, so
-    shard accumulators are exact integer partial sums.
-4.  Checkpoints persist ``(partial, cursor)`` where the cursor is the
-    count of WAL records folded; recovery merges the checkpoint and
+3.  The checkpoint persists ``(partial, cursor)`` where the cursor is
+    the count of WAL records folded; recovery merges the checkpoint and
     re-folds only records at or past the cursor.  A corrupt checkpoint
-    downgrades to a cold start of that shard — the WAL replays the lot.
-5.  :meth:`AggregationService.publish` merges shard partials (timing
-    counters excluded) into one canonical-JSON payload; the snapshot
-    *is* those bytes, the digest their sha256.  Sorted-key JSON makes
-    the bytes independent of dict insertion histories.
+    downgrades to a cold start — the WAL replays the lot.
+4.  :meth:`AggregationService.publish` serialises the accumulator's
+    partial (timing counters excluded) as one canonical-JSON payload;
+    the snapshot *is* those bytes, the digest their sha256.  Sorted-key
+    JSON makes the bytes independent of dict insertion histories.
 
 Fault points threaded for the chaos suite: ``service.ingest`` (before
 any fold mutation — retry-safe), ``service.wal.append`` (inside
@@ -54,9 +51,11 @@ from ..distributed.checkpoint import ShardCheckpoint
 from ..distributed.merge import merge_tree
 from ..errors import (
     CheckpointCorruptError,
+    DomainError,
     ParameterError,
     ProtocolError,
 )
+from ..hashing.kwise import check_domain
 from ..reliability.faults import fault_point
 from ..reliability.retry import RetryPolicy
 from ..temporal.session import TemporalSession
@@ -73,7 +72,7 @@ __all__ = [
 
 #: Marker + version of the published snapshot payload.
 SNAPSHOT_FORMAT = "repro/service-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 logger = logging.getLogger("repro.service")
 
@@ -96,15 +95,15 @@ class ServiceConfig:
 
     The config is part of the determinism contract: two services started
     with the same config over the same report stream publish the same
-    bytes.  ``data_dir`` holds the WAL (``wal.log``) and one checkpoint
-    per shard (``shard-N.ckpt``).
+    bytes.  ``data_dir`` holds the WAL (``wal.log``) and the node's one
+    checkpoint (``node.ckpt``).  ``shard-N.ckpt`` files that older
+    builds left there are ignored: the first start replays the WAL.
     """
 
     data_dir: Union[str, Path]
     k: int = 16
     m: int = 1024
     epsilon: float = 4.0
-    num_shards: int = 4
     seed: int = 0
     checkpoint_interval: int = 32  #: WAL records between checkpoint flushes
     wal_fsync: str = "always"
@@ -115,10 +114,6 @@ class ServiceConfig:
     window_epochs: int = 8  #: closed epochs retained for window queries
 
     def __post_init__(self) -> None:
-        if self.num_shards < 1:
-            raise ParameterError(
-                f"num_shards must be >= 1, got {self.num_shards}"
-            )
         if self.checkpoint_interval < 1:
             raise ParameterError(
                 f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}"
@@ -157,7 +152,7 @@ class Snapshot:
     """One published snapshot: canonical bytes plus their identity.
 
     ``payload_bytes`` is the canonical JSON (sorted keys, compact
-    separators) of the merged, timing-free partial; ``digest`` its
+    separators) of the timing-free partial; ``digest`` its
     sha256.  Byte-identical recovery means byte-identical
     ``payload_bytes`` — the chaos suite compares exactly these.
     """
@@ -192,18 +187,14 @@ class AggregationService:
         self.config = config
         self.data_dir = Path(config.data_dir)
         self.wal = WriteAheadLog(self.data_dir / "wal.log", fsync=config.wal_fsync)
-        # One coordinator owns the published hash pairs; every shard is
-        # spawned from it so integer accumulators sum exactly.
-        self._coordinator = JoinSession(config.params, seed=config.seed)
-        self._shards: List[JoinSession] = [
-            self._coordinator.spawn_shard() for _ in range(config.num_shards)
-        ]
-        self._checkpoints = [
-            ShardCheckpoint(self.data_dir / f"shard-{index}.ckpt", fsync=True)
-            for index in range(config.num_shards)
-        ]
+        # The node's one accumulator; its seed draws the published hash
+        # pairs.  The checkpoint must not reuse the ``shard-N.ckpt`` names
+        # of older builds: each holds only some of the records under a
+        # full-length cursor, so reading one as node state loses data.
+        self._session = JoinSession(config.params, seed=config.seed)
+        self._checkpoint = ShardCheckpoint(self.data_dir / "node.ckpt")
         self._retry = RetryPolicy(config.retries, seed=config.seed)
-        self._folded = 0  # WAL records folded into shard sessions
+        self._folded = 0  # WAL records folded into the session
         self._last_checkpoint = 0  # cursor of the newest complete flush
         self._snapshot: Optional[Snapshot] = None
         self._started = False
@@ -224,24 +215,25 @@ class AggregationService:
         self._reset_temporal()
 
     def _reset_temporal(self) -> None:
-        """(Re)build the empty temporal ring on the coordinator's pairs."""
+        """(Re)build the empty temporal ring on the session's pairs."""
         if self.config.epoch_interval > 0:
             self._temporal = TemporalSession(
                 self.config.params,
                 window_epochs=self.config.window_epochs,
-                pairs=self._coordinator.pairs,
+                pairs=self._session.pairs,
             )
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> dict:
-        """Recover WAL + checkpoints; returns the recovery summary.
+        """Recover WAL + checkpoint; returns the recovery summary.
 
         Safe on a cold directory (starts empty) and after any crash:
-        torn WAL tails are truncated, corrupt shard checkpoints downgrade
-        to cold starts, and every intact WAL record at or past a shard's
-        checkpoint cursor is re-folded with its original derived seed.
+        torn WAL tails are truncated, a corrupt checkpoint downgrades to
+        a cold start (``cold_start`` names the reason), and every intact
+        WAL record at or past the checkpoint cursor is re-folded with its
+        original derived seed.
         """
         records, tear = self.wal.recover()
         if tear is not None:
@@ -254,66 +246,54 @@ class AggregationService:
                 tear.offset,
                 tear.dropped_bytes,
             )
-        cold_starts: List[dict] = []
-        cursors: List[int] = []
-        for index, checkpoint in enumerate(self._checkpoints):
-            cursor = 0
-            try:
-                state = checkpoint.load()
-            except CheckpointCorruptError as error:
-                cold_starts.append({"shard": index, "reason": error.reason})
-                state = None
-            if state is not None:
-                partial, cursor = state
-                # A checkpoint ahead of the WAL can only happen under
-                # fsync policies weaker than the checkpoint's; the WAL is
-                # the acknowledgement boundary, so it wins: drop the
-                # checkpoint and re-fold from the log.
-                if cursor > len(records):
-                    cold_starts.append(
-                        {
-                            "shard": index,
-                            "reason": (
-                                f"checkpoint cursor {cursor} ahead of the "
-                                f"{len(records)}-record WAL"
-                            ),
-                        }
-                    )
-                    cursor = 0
-                else:
-                    self._shards[index].merge(partial)
-            cursors.append(cursor)
-        replayed = 0
+        cold_start: Optional[str] = None
+        cursor = 0
+        try:
+            state = self._checkpoint.load()
+        except CheckpointCorruptError as error:
+            cold_start = error.reason
+            state = None
+        if state is not None:
+            partial, cursor = state
+            # A checkpoint ahead of the WAL can only happen under fsync
+            # policies weaker than the checkpoint's; the WAL is the
+            # acknowledgement boundary, so it wins: drop the checkpoint
+            # and re-fold from the log.
+            if cursor > len(records):
+                cold_start = (
+                    f"checkpoint cursor {cursor} ahead of the "
+                    f"{len(records)}-record WAL"
+                )
+                cursor = 0
+            else:
+                self._session.merge(partial)
         for sequence, record in enumerate(records):
             self._count_tenant(record)
             self._records.append(dict(record))
             self._remember_ack(record, sequence)
-            shard_index = sequence % self.config.num_shards
-            if sequence < cursors[shard_index]:
-                # Already inside this shard's checkpoint — but the
-                # temporal ring is rebuilt from the WAL alone, so every
-                # record still rolls and folds the epoch buckets.
+            if sequence < cursor:
+                # Already inside the checkpoint — but the temporal ring
+                # is rebuilt from the WAL alone, so every record still
+                # rolls and folds the epoch buckets.
                 self._fold_temporal(record, sequence)
                 continue
             self._fold(record, sequence)
-            replayed += 1
         self._folded = len(records)
-        self._last_checkpoint = min(cursors) if cursors else 0
+        self._last_checkpoint = cursor
         self._started = True
         self.recovery = {
             "wal_records": len(records),
-            "replayed": replayed,
+            "replayed": len(records) - cursor,
             "torn_tail": None if tear is None else tear.to_dict(),
-            "cold_starts": cold_starts,
+            "cold_start": cold_start,
         }
         return self.recovery
 
     def flush(self) -> None:
-        """Durability barrier: fsync the WAL, checkpoint every shard."""
+        """Durability barrier: fsync the WAL, checkpoint the session."""
         self._require_started()
         self.wal.sync()
-        for shard, checkpoint in zip(self._shards, self._checkpoints):
-            checkpoint.flush(shard.to_partial(), cursor=self._folded)
+        self._checkpoint.flush(self._session.to_partial(), cursor=self._folded)
         self._last_checkpoint = self._folded
 
     def close(self) -> None:
@@ -325,7 +305,7 @@ class AggregationService:
     def _require_started(self) -> None:
         if not self._started:
             raise ProtocolError(
-                "service not started; call start() to recover WAL + checkpoints"
+                "service not started; call start() to recover WAL + checkpoint"
             )
 
     # ------------------------------------------------------------------
@@ -344,7 +324,7 @@ class AggregationService:
 
         The batch is validated, appended to the WAL (the acknowledgement
         boundary — once :meth:`~repro.service.wal.WriteAheadLog.append`
-        returns, a crash cannot lose it), then folded into its shard
+        returns, a crash cannot lose it), then folded into the session
         under the retry policy.  The fold's ``service.ingest`` fault
         point fires *before* any mutation, so an absorbed fault re-runs
         the fold cleanly.
@@ -403,7 +383,15 @@ class AggregationService:
             )
         if not stream or not isinstance(stream, str):
             raise ParameterError(f"stream must be a non-empty string, got {stream!r}")
-        self._coordinator.params_for(int(attribute))  # bounds check
+        # Everything the fold would reject is rejected here, before the
+        # WAL append: a record that cannot fold would fail every replay.
+        try:
+            attribute = int(attribute)
+        except (TypeError, ValueError, OverflowError) as error:
+            raise ParameterError(
+                f"attribute must be an integer, got {attribute!r}"
+            ) from error
+        self._session.params_for(attribute)  # bounds check
         try:
             array = np.asarray(values, dtype=np.int64)
         except (TypeError, ValueError, OverflowError) as error:
@@ -418,24 +406,24 @@ class AggregationService:
                 f"batch holds {array.size} reports, over the "
                 f"{self.config.max_batch_reports}-report admission cap; split it"
             )
+        try:
+            check_domain(array)
+        except DomainError as error:
+            raise ParameterError(f"batch values out of domain: {error}") from error
         return {
             "tenant": tenant,
             "stream": stream,
-            "attribute": int(attribute),
+            "attribute": attribute,
             "values": array.tolist(),
         }
 
     def _fold(self, record: Mapping[str, Any], sequence: int) -> None:
-        """Fold one WAL record into its shard (pure given the record)."""
-        shard_index = sequence % self.config.num_shards
+        """Fold one WAL record into the session (pure given the record)."""
         fault_point(
-            "service.ingest",
-            sequence=int(sequence),
-            shard=shard_index,
-            tenant=str(record["tenant"]),
+            "service.ingest", sequence=int(sequence), tenant=str(record["tenant"])
         )
         self._fold_temporal(record, sequence)
-        self._shards[shard_index].collect(
+        self._session.collect(
             f"{record['tenant']}/{record['stream']}",
             np.asarray(record["values"], dtype=np.int64),
             attribute=int(record["attribute"]),
@@ -448,7 +436,7 @@ class AggregationService:
         The epoch is ``sequence // epoch_interval`` — a pure function of
         the WAL position — and the batch re-uses the fold's derived
         seed, so the epoch accumulators are the same integer sums the
-        shard path produces for those records.  Replay and replication
+        session holds for those records.  Replay and replication
         therefore rebuild a byte-identical ring.
         """
         if self._temporal is None:
@@ -477,11 +465,7 @@ class AggregationService:
         crash.  Retention is a FIFO bound on *entries*, so one hot
         tenant cannot evict nothing while a cold tenant's keys expire.
         """
-        ack = {
-            "sequence": int(sequence),
-            "shard": int(sequence) % self.config.num_shards,
-            "reports": len(record["values"]),
-        }
+        ack = {"sequence": int(sequence), "reports": len(record["values"])}
         key = record.get("idem")
         if key is not None:
             self._dedup[(str(record["tenant"]), str(key))] = ack
@@ -515,10 +499,10 @@ class AggregationService:
     # Publishing
     # ------------------------------------------------------------------
     def publish(self) -> dict:
-        """Merge shard state into a new published snapshot.
+        """Publish the session's state as a new snapshot.
 
-        Pure over the shard sessions — building the merged session
-        allocates fresh state, so injected faults at ``service.merge`` /
+        Pure over the session — the snapshot copies its partial into a
+        fresh query session, so injected faults at ``service.merge`` /
         ``service.snapshot`` are absorbed by a clean re-run.  The
         snapshot payload is canonical JSON with timing counters excluded
         (wall-clock accounting is real but not part of the published
@@ -531,16 +515,16 @@ class AggregationService:
         return snapshot.info()
 
     def _build_snapshot(self) -> Snapshot:
-        fault_point("service.merge", shards=self.config.num_shards)
-        merged = JoinSession(self.config.params, pairs=self._coordinator.pairs)
-        for shard in self._shards:
-            merged.merge(shard.to_partial(include_timing=False))
+        fault_point("service.merge", wal_records=self._folded)
+        partial = self._session.to_partial(include_timing=False)
+        session = JoinSession(self.config.params, pairs=self._session.pairs)
+        session.merge(partial)
         fault_point("service.snapshot", wal_records=self._folded)
         payload = {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "wal_records": self._folded,
-            "partial": merged.to_partial(include_timing=False).to_dict(),
+            "partial": partial.to_dict(),
         }
         payload_bytes = json.dumps(
             payload, sort_keys=True, separators=(",", ":")
@@ -549,7 +533,7 @@ class AggregationService:
             digest=hashlib.sha256(payload_bytes).hexdigest(),
             wal_records=self._folded,
             payload_bytes=payload_bytes,
-            session=merged,
+            session=session,
         )
 
     @property
@@ -632,7 +616,7 @@ class AggregationService:
         def run() -> Tuple[list, dict]:
             fault_point("service.query", kind="window", tenant=str(tenant))
             entries = temporal.window_entries(window)
-            session = JoinSession(self.config.params, pairs=self._coordinator.pairs)
+            session = JoinSession(self.config.params, pairs=self._session.pairs)
             session.merge(merge_tree([partial for _, partial in entries]))
             result = session.estimate(
                 self._qualify(tenant, stream_a), self._qualify(tenant, stream_b)
@@ -715,7 +699,6 @@ class AggregationService:
             "wal_sequence": self._folded,
             "wal_bytes": self.wal.size_bytes(),
             "last_checkpoint_sequence": self._last_checkpoint,
-            "num_shards": self.config.num_shards,
             "pending_records": self.pending_records() if self._started else 0,
             "dedup_entries": len(self._dedup),
             "snapshot": None if self._snapshot is None else self._snapshot.info(),

@@ -17,7 +17,7 @@ Protocol, frame by frame::
     primary                             standby
     ingest(batch)
       wal.append(record)    ──ack boundary
-      fold into shard
+      fold into session
       ship {epoch, seq, frame} ───────▶ apply_replication(payload)
                                           epoch checks (fencing)
                                           seq == wal length? append+fold
@@ -77,6 +77,7 @@ import json
 import logging
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from ..api.session import JoinSession
 from ..errors import (
     FencedEpochError,
     InjectedCrashError,
@@ -525,20 +526,17 @@ class ReplicatedService(AggregationService):
         """Drop every record at/after ``sequence``; rebuild by re-fold.
 
         The WAL is truncated first (fsynced) so a crash mid-rebuild
-        recovers the same shortened history; shard accumulators, tenant
+        recovers the same shortened history; the accumulator, tenant
         counters, the dedup ledger and the record list are then rebuilt
         from the kept prefix — a fold is a pure function of ``(record,
         sequence)``, so the rebuilt state is byte-identical to a node
-        that never held the fork.  Checkpoints are reflushed at the end
+        that never held the fork.  The checkpoint is reflushed at the end
         so no on-disk cursor outlives the truncation, and a published
         snapshot that included dropped records is withdrawn.
         """
         keep = [dict(record) for record in self._records[:sequence]]
         self.wal.truncate_to(sequence)
-        self._shards = [
-            self._coordinator.spawn_shard()
-            for _ in range(self.config.num_shards)
-        ]
+        self._session = JoinSession(self.config.params, pairs=self._session.pairs)
         self._reset_temporal()
         self.tenants = {}
         self._dedup.clear()

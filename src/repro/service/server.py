@@ -245,9 +245,9 @@ class ServiceServer:
                     future = None
                 if not isinstance(error, ReproError):
                     # A non-repro error here is a worker bug: record it,
-                    # flip /healthz, and stop rather than limp on.
+                    # flip /healthz, and stop rather than limp on (the
+                    # finally below still marks this item done, once).
                     self._worker_error = f"{type(error).__name__}: {error}"
-                    self._queue.task_done()
                     return
             else:
                 if not future.done():
@@ -337,7 +337,12 @@ class ServiceServer:
                 except ValueError as error:
                     await self._respond(writer, 400, {"error": str(error)})
                     return
-                length = int(headers.get("content-length", "0") or "0")
+                declared = headers.get("content-length", "0") or "0"
+                if not (declared.isascii() and declared.isdigit()):
+                    error = f"Content-Length must be a byte count, got {declared!r}"
+                    await self._respond(writer, 400, {"error": error})
+                    return
+                length = int(declared)
                 if length > self.config.max_body_bytes:
                     await self._respond(
                         writer,
@@ -546,7 +551,10 @@ class ServiceServer:
             # An unabsorbed injected fault outside a retry wrapper: the
             # chaos suite wants to see it surfaced, not masked as a 500.
             return 503, {"error": str(error)}, None
-        except ReproError as error:
+        except Exception as error:  # noqa: BLE001 - answered, not dropped
+            # Whatever is left — an unmapped ReproError, or a bug such as
+            # the error that killed the ingest worker — is still
+            # answered with its name instead of a dropped connection.
             return 500, {"error": f"{type(error).__name__}: {error}"}, None
 
     async def _handle_report(

@@ -333,15 +333,15 @@ def _deterministic_counters(partial):
 class TestCheckpointDurability:
     """Regression: flush must fsync the data before publishing the name.
 
-    The original flush fsynced the temp file only when ``fsync=True``
-    and never fsynced the directory — so a crash shortly after
+    The original flush fsynced the temp file only on request and never
+    fsynced the directory — so a crash shortly after
     ``os.replace`` could surface the *new* name with torn or empty
     contents (data blocks never reached disk) or forget the rename
     entirely.  Both orderings are now load-bearing for the replication
     layer's byte-identical recovery story.
     """
 
-    def _flush_events(self, tmp_path, monkeypatch, **kwargs):
+    def _flush_events(self, tmp_path, monkeypatch):
         import os as os_module
         import stat
 
@@ -364,7 +364,7 @@ class TestCheckpointDurability:
         monkeypatch.setattr(checkpoint_module.os, "replace", spy_replace)
         params, _, _ = _cohort_fixture()
         partial = _fresh_shard(params).to_partial()
-        checkpoint = ShardCheckpoint(tmp_path / "shard-0.ckpt", **kwargs)
+        checkpoint = ShardCheckpoint(tmp_path / "shard-0.ckpt")
         checkpoint.flush(partial, cursor=1)
         assert checkpoint.load() is not None
         return events
@@ -373,14 +373,6 @@ class TestCheckpointDurability:
         self, tmp_path, monkeypatch
     ):
         events = self._flush_events(tmp_path, monkeypatch)
-        assert events == ["fsync-file", "replace", "fsync-dir"]
-
-    def test_fsync_false_no_longer_weakens_the_guarantee(
-        self, tmp_path, monkeypatch
-    ):
-        # Older call sites passing fsync=False keep working, but the
-        # atomic dance is only atomic with the syncs — they stay.
-        events = self._flush_events(tmp_path, monkeypatch, fsync=False)
         assert events == ["fsync-file", "replace", "fsync-dir"]
 
 

@@ -13,6 +13,7 @@ control and lifecycle, and the ``serve`` CLI wiring.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import struct
 import zlib
@@ -59,7 +60,6 @@ def make_config(data_dir, **overrides) -> ServiceConfig:
         k=3,
         m=32,
         epsilon=2.0,
-        num_shards=3,
         seed=11,
         checkpoint_interval=4,
     )
@@ -199,16 +199,23 @@ class TestServiceConfig:
     @pytest.mark.parametrize(
         "overrides,message",
         [
-            (dict(num_shards=0), "num_shards"),
+            (dict(dedup_retention=0), "dedup_retention"),
             (dict(checkpoint_interval=0), "checkpoint_interval"),
             (dict(wal_fsync="maybe"), "wal_fsync"),
             (dict(retries=0), "retries"),
             (dict(max_batch_reports=0), "max_batch_reports"),
+            (dict(epoch_interval=-1), "epoch_interval"),
+            (dict(window_epochs=0), "window_epochs"),
         ],
     )
     def test_invalid_config_rejected(self, tmp_path, overrides, message):
         with pytest.raises(ParameterError, match=message):
             make_config(tmp_path, **overrides)
+
+    def test_node_holds_no_shard_option(self, tmp_path):
+        """One accumulator per node: there is no shard count to set."""
+        with pytest.raises(TypeError, match="num_shards"):
+            make_config(tmp_path, num_shards=4)
 
     def test_batch_seed_is_deterministic_and_distinct(self):
         assert batch_seed(11, 0) == batch_seed(11, 0)
@@ -222,13 +229,14 @@ class TestAggregationService:
         service = AggregationService(make_config(tmp_path))
         service.start()
         ack = service.ingest(TENANT, "A", [1, 2, 3])
-        assert ack == {"sequence": 0, "shard": 0, "reports": 3}
+        assert ack == {"sequence": 0, "reports": 3}
         ack = service.ingest(TENANT, "B", [4, 5])
-        assert ack == {"sequence": 1, "shard": 1, "reports": 2}
+        assert ack == {"sequence": 1, "reports": 2}
         assert service.pending_records() == 2
         status = service.status()
         assert status["wal_records"] == 2
         assert status["tenants"][TENANT] == {"batches": 2, "reports": 5}
+        assert "num_shards" not in status
         service.close()
 
     def test_ingest_requires_start(self, tmp_path):
@@ -254,6 +262,46 @@ class TestAggregationService:
             service.ingest(tenant, stream, values)
         assert len(service.wal) == 0  # rejected batches never hit the WAL
         service.close()
+
+    @pytest.mark.parametrize(
+        "values,attribute,message",
+        [
+            ([1, -1], 0, "domain"),
+            ([2**31 - 1], 0, "domain"),
+            ([2**40], 0, "domain"),
+            ([1, 2], "abc", "attribute"),
+            ([1, 2], None, "attribute"),
+            ([1, 2], 1, "attribute"),
+        ],
+    )
+    def test_unfoldable_batch_is_rejected_before_the_wal(
+        self, tmp_path, values, attribute, message
+    ):
+        """A batch the fold would refuse never reaches the WAL.
+
+        Were it appended, its fold would fail on every replay and the
+        node could never restart.
+        """
+        service = AggregationService(make_config(tmp_path))
+        service.start()
+        service.ingest(TENANT, "A", [1, 2, 3])
+        with pytest.raises(ParameterError, match=message):
+            service.ingest(
+                TENANT, "B", values, attribute=attribute, idempotency_key="bad"
+            )
+        assert len(service.wal) == 1
+        assert service.ingest(TENANT, "B", [4])["sequence"] == 1
+        service.wal.close()  # crash: the restart replays the WAL
+
+        restarted = AggregationService(make_config(tmp_path))
+        recovery = restarted.start()
+        assert recovery["wal_records"] == 2
+        # The rejected batch left no idempotency entry behind either.
+        assert restarted.ingest(TENANT, "B", [5], idempotency_key="bad") == {
+            "sequence": 2,
+            "reports": 1,
+        }
+        restarted.close()
 
     def test_batch_admission_cap(self, tmp_path):
         service = AggregationService(make_config(tmp_path, max_batch_reports=8))
@@ -287,6 +335,87 @@ class TestAggregationService:
         service.publish()
         assert service.snapshot.payload_bytes == first
         service.close()
+
+    def test_snapshot_partial_is_one_session(self, tmp_path):
+        """The node holds one accumulator, across a checkpointed restart.
+
+        The published partial is the canonical JSON of a single
+        :class:`JoinSession` that folded every record with its derived
+        seed: the same arrays, counters and ledger group names.
+        """
+        batches = make_batches(10)
+        crashed = AggregationService(make_config(tmp_path))
+        crashed.start()
+        for tenant, stream, values in batches[:6]:
+            crashed.ingest(tenant, stream, values)
+        crashed.wal.close()  # crash after the checkpoint at sequence 3
+        service = AggregationService(make_config(tmp_path))
+        assert service.start()["replayed"] == 2
+        for tenant, stream, values in batches[6:]:
+            service.ingest(tenant, stream, values)
+        service.publish()
+        published = json.loads(service.snapshot.payload_bytes)["partial"]
+
+        direct = JoinSession(SketchParams(3, 32, 2.0), seed=11)
+        for sequence, (tenant, stream, values) in enumerate(batches):
+            direct.collect(
+                f"{tenant}/{stream}", values, seed=batch_seed(11, sequence)
+            )
+        expected = direct.to_partial(include_timing=False).to_dict()
+
+        def canonical(payload):
+            return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+        assert canonical(published) == canonical(expected)
+        service.close()
+
+    def test_checkpoint_leaves_wal_and_one_checkpoint(self, tmp_path):
+        service = AggregationService(make_config(tmp_path))
+        assert service.start()["cold_start"] is None
+        for tenant, stream, values in make_batches(4):
+            service.ingest(tenant, stream, values)  # flushes at sequence 3
+        assert service.status()["last_checkpoint_sequence"] == 4
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "node.ckpt",
+            "wal.log",
+        ]
+        service.close()
+
+    def test_stale_shard_checkpoint_is_ignored(self, tmp_path):
+        """An old data dir's ``shard-0.ckpt`` is not read as node state.
+
+        It holds a partial of only some records under a cursor equal to
+        the WAL length; reading it would skip the replay of every other
+        record.  The node replays the whole WAL instead.
+        """
+        from repro.distributed import ShardCheckpoint
+
+        batches = make_batches(8)
+        reference = run_to_digest(tmp_path / "ref", batches)
+
+        data_dir = tmp_path / "old"
+        crashed = AggregationService(make_config(data_dir, checkpoint_interval=64))
+        crashed.start()
+        for tenant, stream, values in batches:
+            crashed.ingest(tenant, stream, values)
+        crashed.wal.close()  # no checkpoint of its own yet
+        stale = JoinSession(SketchParams(3, 32, 2.0), seed=11)
+        for sequence in range(0, len(batches), 4):
+            tenant, stream, values = batches[sequence]
+            stale.collect(
+                f"{tenant}/{stream}", values, seed=batch_seed(11, sequence)
+            )
+        ShardCheckpoint(data_dir / "shard-0.ckpt").flush(
+            stale.to_partial(), cursor=len(batches)
+        )
+
+        restarted = AggregationService(make_config(data_dir))
+        recovery = restarted.start()
+        assert recovery["replayed"] == len(batches)
+        assert recovery["cold_start"] is None
+        restarted.publish()
+        assert restarted.snapshot.digest == reference
+        restarted.close()
 
     def test_queries_match_direct_session(self, tmp_path):
         batches = make_batches(6)
@@ -345,11 +474,12 @@ class TestAggregationService:
         for tenant, stream, values in batches[:8]:
             crashed.ingest(tenant, stream, values)
         crashed.wal.close()
-        (tmp_path / "crash" / "shard-1.ckpt").write_text("{ not json")
+        (tmp_path / "crash" / "node.ckpt").write_text("{ not json")
 
         restarted = AggregationService(make_config(tmp_path / "crash"))
         recovery = restarted.start()
-        assert [entry["shard"] for entry in recovery["cold_starts"]] == [1]
+        assert "invalid JSON" in recovery["cold_start"]
+        assert recovery["replayed"] == 8
         for tenant, stream, values in batches[8:]:
             restarted.ingest(tenant, stream, values)
         restarted.publish()
@@ -363,15 +493,13 @@ class TestAggregationService:
         service.start()
         for tenant, stream, values in make_batches(8):
             service.ingest(tenant, stream, values)
-        service.close()  # flushes checkpoints at cursor=8
+        service.close()  # flushes the checkpoint at cursor=8
         (data_dir / "wal.log").unlink()  # the WAL vanishes entirely
 
         restarted = AggregationService(make_config(data_dir))
         recovery = restarted.start()
         assert recovery["wal_records"] == 0
-        assert len(recovery["cold_starts"]) == 3
-        for entry in recovery["cold_starts"]:
-            assert "ahead of the 0-record WAL" in entry["reason"]
+        assert "ahead of the 0-record WAL" in recovery["cold_start"]
         restarted.publish()
         # Cold-started from an empty log: the snapshot holds no streams.
         assert restarted.snapshot.info()["streams"] == []
@@ -600,6 +728,97 @@ class TestServiceServer:
 
         asyncio.run(scenario())
 
+    def test_unfoldable_report_is_400_and_the_worker_lives(self, tmp_path):
+        async def scenario():
+            server = self._server(tmp_path)
+            host, port = await server.start()
+            try:
+                for bad in (
+                    {"values": [1, 2**31 - 1]},
+                    {"values": [1, 2], "attribute": "abc"},
+                    {"values": [1, 2], "attribute": None},
+                ):
+                    batch = {"tenant": TENANT, "stream": "A", **bad}
+                    status, body, _ = await _request(
+                        host, port, "POST", "/v1/report", batch
+                    )
+                    assert status == 400, body
+                batch = {"tenant": TENANT, "stream": "A", "values": [1, 2]}
+                status, ack, _ = await _request(
+                    host, port, "POST", "/v1/report", batch
+                )
+                assert (status, ack) == (200, {"sequence": 0, "reports": 2})
+                status, _, _ = await _request(host, port, "GET", "/healthz")
+                assert status == 200
+            finally:
+                await server.shutdown()
+
+        asyncio.run(scenario())
+        assert len(WriteAheadLog(tmp_path / "data" / "wal.log").recover()[0]) == 1
+
+    @pytest.mark.parametrize("declared", ["abc", "-5", "+5", "1_0"])
+    def test_bad_content_length_is_400_and_closes(self, tmp_path, declared):
+        async def scenario():
+            server = self._server(tmp_path)
+            host, port = await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(
+                    (
+                        f"POST /v1/report HTTP/1.1\r\nHost: {host}\r\n"
+                        f"Content-Length: {declared}\r\n\r\n"
+                    ).encode("latin-1")
+                )
+                await writer.drain()
+                # read() returns only once the server closes the socket.
+                raw = await asyncio.wait_for(reader.read(), 10.0)
+                writer.close()
+                head, _, body = raw.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 ")
+                assert b"Connection: close" in head
+                assert "Content-Length" in json.loads(body)["error"]
+            finally:
+                await server.shutdown()
+
+        asyncio.run(scenario())
+
+    def test_worker_bug_is_reported_not_raised(self, tmp_path, monkeypatch):
+        """A non-repro error stops the ingest worker cleanly.
+
+        The request that hit it gets a 500 naming the error, ``/healthz``
+        reports it, and nothing reaches the event loop's exception
+        handler (no "Task exception was never retrieved").
+        """
+        handled = []
+
+        def broken_ingest(*args, **kwargs):
+            raise RuntimeError("fold exploded")
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: handled.append(context)
+            )
+            server = self._server(tmp_path)
+            host, port = await server.start()
+            monkeypatch.setattr(server.service, "ingest", broken_ingest)
+            try:
+                batch = {"tenant": TENANT, "stream": "A", "values": [1]}
+                status, body, _ = await _request(
+                    host, port, "POST", "/v1/report", batch
+                )
+                assert status == 500
+                assert body["error"] == "RuntimeError: fold exploded"
+                status, body, _ = await _request(host, port, "GET", "/healthz")
+                assert (status, body["status"]) == (503, "dead")
+                assert body["error"] == "RuntimeError: fold exploded"
+            finally:
+                await server.shutdown()
+            gc.collect()
+
+        asyncio.run(scenario())
+        gc.collect()
+        assert handled == []
+
     def test_backpressure_answers_429_with_retry_after(self, tmp_path):
         """A slow fold fills the per-tenant allowance; overflow gets 429."""
 
@@ -702,8 +921,6 @@ class TestServeCli:
                 str(tmp_path),
                 "--port",
                 "8123",
-                "--shards",
-                "5",
                 "--wal-fsync",
                 "batch",
                 "--publish-threshold",
@@ -711,10 +928,17 @@ class TestServeCli:
             ]
         )
         assert args.port == 8123
-        assert args.shards == 5
         assert args.wal_fsync == "batch"
         assert args.publish_threshold == 16
         assert args.fault_plan is None
+
+    def test_shards_flag_is_gone(self, tmp_path, capsys):
+        from repro.service.__main__ import build_parser
+
+        parser = build_parser()
+        assert "--shards" not in parser.format_help()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--data-dir", str(tmp_path), "--shards", "4"])
 
     def test_data_dir_is_required(self, capsys):
         from repro.service.__main__ import build_parser

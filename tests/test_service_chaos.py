@@ -25,6 +25,7 @@ interface, so its failure modes are part of the contract.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -50,7 +51,6 @@ from repro.reliability.faults import injected
 from repro.service import AggregationService, ServiceConfig
 
 TENANT = "acme"
-SHARDS = 3
 SEED = 17
 RETRIES = 3
 #: Below the retry budget, so every error/crash schedule is absorbable.
@@ -78,7 +78,6 @@ def make_config(data_dir) -> ServiceConfig:
         k=3,
         m=32,
         epsilon=2.0,
-        num_shards=SHARDS,
         seed=SEED,
         checkpoint_interval=4,
         retries=RETRIES,
@@ -174,15 +173,30 @@ class TestServiceChaosProperties:
     def test_absorbable_schedules_publish_identical_bytes(self, data):
         plan_seed = data.draw(st.integers(0, 2**32 - 1), label="plan_seed")
         num_faults = data.draw(st.integers(1, 3), label="num_faults")
-        shard_match = data.draw(st.booleans(), label="shard_match")
+        sequence_match = data.draw(st.booleans(), label="sequence_match")
         plan = FaultPlan.random(
             plan_seed,
             points=SERVICE_POINTS,
             num_faults=num_faults,
-            num_shards=SHARDS if shard_match else None,
             max_times=MAX_TIMES,
             kinds=("error", "crash", "torn-write", "corrupt"),
         )
+        if sequence_match:
+            # Pin each spec to one WAL record; the points that carry a
+            # sequence (ingest, wal.append) fire only on that record.
+            plan = FaultPlan(
+                [
+                    dataclasses.replace(
+                        spec,
+                        match={
+                            "sequence": data.draw(
+                                st.integers(0, len(BATCHES) - 1), label="sequence"
+                            )
+                        },
+                    )
+                    for spec in plan.specs
+                ]
+            )
         assert plan.absorbable_by(RETRIES)
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
             outcome = run_under_faults(Path(tmp), BATCHES, plan)
@@ -229,8 +243,6 @@ def _start_server(data_dir) -> tuple:
             str(data_dir),
             "--port",
             "0",
-            "--shards",
-            str(SHARDS),
             "--k",
             "3",
             "--m",
@@ -349,9 +361,7 @@ class TestFaultPlanLoadValidation:
         }
 
     def test_round_trip(self, tmp_path):
-        plan = FaultPlan.random(
-            9, points=SERVICE_POINTS, num_faults=3, num_shards=SHARDS
-        )
+        plan = FaultPlan.random(9, points=SERVICE_POINTS, num_faults=3, num_shards=3)
         path = plan.save(tmp_path / "plan.json")
         assert FaultPlan.load(path).to_dict() == plan.to_dict()
 

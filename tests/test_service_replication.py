@@ -65,7 +65,6 @@ from repro.service import (
 from repro.service.wal import decode_frame, encode_frame
 
 TENANT = "acme"
-SHARDS = 3
 SEED = 17
 RETRIES = 3
 MAX_TIMES = RETRIES - 1
@@ -85,7 +84,6 @@ def make_config(data_dir, **overrides) -> ServiceConfig:
         k=3,
         m=32,
         epsilon=2.0,
-        num_shards=SHARDS,
         seed=SEED,
         checkpoint_interval=4,
         retries=RETRIES,
@@ -754,8 +752,6 @@ def _start_node(data_dir, role, *, replicas=()):
         str(data_dir),
         "--port",
         "0",
-        "--shards",
-        str(SHARDS),
         "--k",
         "3",
         "--m",
