@@ -37,13 +37,7 @@ truncation are rejected with typed errors.
 """
 
 from .checkpoint import ShardCheckpoint, ingest_with_checkpoint
-from .collectors import (
-    ShardRun,
-    estimate_sharded,
-    pool_shardable,
-    prepare_shard_run,
-    shardable_single_round,
-)
+from .collectors import ShardRun, estimate_sharded, prepare_shard_run
 from .merge import merge_sequential, merge_tree
 from .partial import (
     PARTIAL_FORMAT,
@@ -70,7 +64,5 @@ __all__ = [
     "ingest_with_checkpoint",
     "ShardRun",
     "estimate_sharded",
-    "pool_shardable",
     "prepare_shard_run",
-    "shardable_single_round",
 ]

@@ -66,12 +66,7 @@ from .merge import merge_sequential, merge_tree
 from .partial import PartialAggregate, fingerprint_digest
 from .planner import ShardPlanner
 
-__all__ = [
-    "estimate_sharded",
-    "prepare_shard_run",
-    "ShardRun",
-    "shardable_single_round",
-]
+__all__ = ["estimate_sharded", "prepare_shard_run", "ShardRun"]
 
 #: Valid reducers (``merge=`` argument).
 _MERGERS = {"tree": merge_tree, "sequential": merge_sequential}
@@ -265,36 +260,13 @@ def _apply_degradation(
     )
 
 
-class _LazySplits:
-    """Defers the O(n) population partition until a shard is accessed.
-
-    Re-planning a run for *finalisation* only needs its context (params,
-    pairs, seeds) — never the splits — so the partition cost is paid
-    exactly by the paths that collect shards, and a parent that merely
-    finalises worker-collected partials stays O(1) in the population.
-    """
-
-    __slots__ = ("_planner", "_values", "_splits")
-
-    def __init__(self, planner: ShardPlanner, values: np.ndarray) -> None:
-        self._planner = planner
-        self._values = values
-        self._splits = None
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        if self._splits is None:
-            self._splits = self._planner.split(self._values)
-            self._values = None
-        return self._splits[index]
-
-
 class ShardRun:
     """One planned sharded estimation: ``collect(s)`` then ``finalize``.
 
     Instances come from :func:`prepare_shard_run` and are pure functions
-    of ``(estimator, instance, epsilon, num_shards, seed, strategy)`` —
-    a worker process can rebuild the identical run from those arguments
-    and execute any subset of its shards.
+    of ``(estimator, instance, epsilon, num_shards, seed, strategy)``:
+    any process that rebuilds the run from those arguments collects the
+    identical partials.
     """
 
     def __init__(self, driver, ctx, num_shards: int, method: str = "") -> None:
@@ -303,18 +275,12 @@ class ShardRun:
         self.num_shards = num_shards
         self.method = method
 
-    def collect(
-        self,
-        shard_index: int,
-        *,
-        retries: Union[None, int, RetryPolicy] = None,
-    ) -> PartialAggregate:
+    def collect(self, shard_index: int) -> PartialAggregate:
         """The partial of shard ``shard_index`` (plan-fixed randomness).
 
-        Passes the ``shard.collect`` fault point; ``retries`` (an attempt
-        count or a :class:`~repro.reliability.RetryPolicy`) absorbs
-        transient failures with the randomness restored per attempt, so
-        a retried collect stays byte-identical to a fault-free one.
+        Passes the ``shard.collect`` fault point once; retries belong to
+        :func:`estimate_sharded`, which restores the shard's randomness
+        per attempt.
         """
         if not 0 <= shard_index < self.num_shards:
             raise ParameterError(
@@ -325,7 +291,7 @@ class ShardRun:
             self._ctx,
             shard_index,
             self.method,
-            as_retry_policy(retries),
+            None,
         )
 
     def collect_all(self) -> List[PartialAggregate]:
@@ -355,10 +321,6 @@ class _SessionContext:
 class _SessionDriver:
     """LDPJoinSketch / LDP-COMPASS through ``JoinSession`` partials."""
 
-    #: Finalisation is an FWHT + one einsum — O(k m log m), independent
-    #: of the population — so a pool parent can afford to run it inline.
-    cheap_finalize = True
-
     def __init__(self, query: str) -> None:
         self.query = query  # "join" or "chain"
 
@@ -381,8 +343,8 @@ class _SessionDriver:
             params,
             pairs,
             self.query,
-            _LazySplits(planner, as_value_array(instance.values_a, "values_a")),
-            _LazySplits(planner, as_value_array(instance.values_b, "values_b")),
+            planner.split(as_value_array(instance.values_a, "values_a")),
+            planner.split(as_value_array(instance.values_b, "values_b")),
             shard_seeds,
         )
 
@@ -419,16 +381,14 @@ class _FagmsContext:
 class _FagmsDriver:
     """Fast-AGMS: deterministic linear updates, partials are counter sums."""
 
-    cheap_finalize = True
-
     def prepare(self, estimator, instance, epsilon, num_shards, seed, strategy):
         rng = ensure_rng(seed)
         pairs = HashPairs(estimator.k, estimator.m, rng)  # serial draw order
         planner = ShardPlanner(num_shards, strategy=strategy)
         return _FagmsContext(
             pairs,
-            _LazySplits(planner, as_value_array(instance.values_a, "values_a")),
-            _LazySplits(planner, as_value_array(instance.values_b, "values_b")),
+            planner.split(as_value_array(instance.values_a, "values_a")),
+            planner.split(as_value_array(instance.values_b, "values_b")),
             instance.domain_size,
         )
 
@@ -567,8 +527,8 @@ class _OracleDriver:
             domain_size=instance.domain_size,
             epsilon=float(epsilon),
             oracle_seeds=oracle_seeds,
-            splits_a=_LazySplits(planner, as_value_array(instance.values_a, "values_a")),
-            splits_b=_LazySplits(planner, as_value_array(instance.values_b, "values_b")),
+            splits_a=planner.split(as_value_array(instance.values_a, "values_a")),
+            splits_b=planner.split(as_value_array(instance.values_b, "values_b")),
             shard_seeds=shard_seeds,
             fingerprint=None,
         )
@@ -768,36 +728,6 @@ def _driver_for(estimator):
     raise ParameterError(
         f"estimator {estimator.name!r} has no sharded-collection driver"
     )
-
-
-def shardable_single_round(estimator) -> bool:
-    """Whether ``estimator`` shards into one round of independent partials.
-
-    ``False`` for multi-round protocols (LDPJoinSketch+, whose FI
-    broadcast is a barrier) and estimators with no driver.
-    """
-    try:
-        _, driver = _driver_for(estimator)
-    except ParameterError:
-        return False
-    return getattr(driver, "rounds", 1) == 1
-
-
-def pool_shardable(estimator) -> bool:
-    """Whether a sweep pool should split this method to shard granularity.
-
-    Requires a single-round driver *and* a cheap finaliser: the pool
-    parent runs ``finalize`` inline while draining futures, so
-    estimation-dominated methods (the frequency-oracle baselines, whose
-    finalise scans the whole domain — OLH even Θ(n·|D|)) are better off
-    as whole-trial worker tasks, where the estimation runs in the worker.
-    Whole-trial execution still honours the unit's shard plan in-process,
-    so the records are identical either way.
-    """
-    if not shardable_single_round(estimator):
-        return False
-    _, driver = _driver_for(estimator)
-    return getattr(driver, "cheap_finalize", False)
 
 
 def prepare_shard_run(

@@ -85,9 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="run every trial as K shard aggregators + a merge tree "
-        "(workers then ship partials; bit-identical for every K and "
-        "worker count pair with the same seed at K=1)",
+        help="run every trial as K shard aggregators + a merge tree inside "
+        "its unit's worker (bit-identical for every worker count; K=1 "
+        "is bit-identical to an unsharded run)",
     )
     sweep.add_argument("--k", type=int, default=18, help="sketch depth for sketch methods")
     sweep.add_argument("--m", type=int, default=1024, help="sketch width for sketch methods")
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries",
         type=int,
         default=None,
-        help="attempt budget per task (absorbs injected faults, worker "
+        help="attempt budget per grid unit (absorbs injected faults, worker "
         "deaths and broken pools without changing a single result bit)",
     )
     sweep.add_argument(
@@ -201,14 +201,15 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the crash-safe online aggregation service (repro.service)",
         description="Start the asyncio HTTP collector: durable WAL ingest, "
-        "bounded backpressure, checkpointed shards, published snapshots; "
-        "arguments are forwarded to `python -m repro.service` verbatim.",
+        "bounded backpressure, a checkpointed accumulator, published "
+        "snapshots; arguments are forwarded to `python -m repro.service` "
+        "verbatim.",
     )
     serve.add_argument(
         "serve_args",
         nargs=argparse.REMAINDER,
         help="arguments forwarded to repro.service (--data-dir, --port, "
-        "--shards, --fault-plan, ...)",
+        "--fault-plan, ...)",
     )
 
     failover = sub.add_parser(
@@ -479,6 +480,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 workers=args.workers,
                 trial_axis=args.trial_axis,
                 shards=args.shards,
+                retries=args.retries,
+                fault_plan=args.fault_plan,
                 k=args.k,
                 m=args.m,
             )

@@ -30,15 +30,15 @@ route through; :func:`sweep_table` is the ad-hoc entry point
 Fault tolerance (:mod:`repro.reliability`): ``retries=`` / ``fault_plan=``
 thread a :class:`~repro.reliability.RetryPolicy` and a deterministic
 :class:`~repro.reliability.FaultPlan` through both execution paths.
-Workers arm the shipped plan on task entry and pass the ``sweep.unit`` /
-``sweep.shard`` fault points (marked *crashable*, so ``hard_crashes``
-plans produce a genuine ``BrokenProcessPool``); the parent catches broken
-pools and retryable worker errors, restarts the pool, and resubmits the
-failed task specs under the retry budget — raising
-:class:`~repro.errors.SweepWorkerLostError` naming the lost grid cells
-when the budget runs out.  Absorbable schedules leave the output
-bit-identical to a fault-free run, because every task is a pure function
-of plan data.
+In-process, each unit runs under the policy.  In a pool, each worker
+arms the shipped plan, passes the ``sweep.unit`` fault point (marked
+*crashable*, so ``hard_crashes`` plans produce a genuine
+``BrokenProcessPool``) and runs its unit once; the parent resubmits a
+unit that raised a retryable error or died with its worker, restarting
+a broken pool, and raises :class:`~repro.errors.SweepWorkerLostError`
+naming the lost grid cells when the retry budget runs out.  Absorbable
+schedules leave the output bit-identical to a fault-free run, because
+every unit is a pure function of plan data.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 from ..api.registry import JoinEstimator, get_estimator
 from ..data.base import JoinInstance
 from ..data.registry import make_join_instance
-from ..errors import ParameterError, RetryExhaustedError, SweepWorkerLostError
+from ..errors import ParameterError, SweepWorkerLostError
 from ..reliability.faults import (
     FaultPlan,
     as_fault_plan,
@@ -179,11 +179,10 @@ def plan_grid(
     layout, not a bit-compatible accelerator of the exact mode.
 
     ``shards=K`` (exact mode only) runs every trial as ``K`` shard
-    aggregators reduced by a merge tree (:mod:`repro.distributed`):
-    worker pools then ship *partials* instead of whole trials, and the
-    parent tree-merges — still bit-identical for every worker count,
-    because shard randomness is fixed by the plan.  ``shards=1`` is the
-    identity plan, bit-identical to an unsharded run.
+    aggregators reduced by a merge tree (:mod:`repro.distributed`), all
+    inside the unit's own worker — still bit-identical for every worker
+    count, because shard randomness is fixed by the plan.  ``shards=1``
+    is the identity plan, bit-identical to an unsharded run.
     """
     if trial_axis not in ("exact", "grouped"):
         raise ParameterError(
@@ -278,11 +277,10 @@ def _unit_trial_seeds(unit: SweepUnit) -> List[int]:
 def _execute_unit_sharded(
     unit: SweepUnit, estimator: JoinEstimator, instance: JoinInstance
 ) -> List[TrialRecord]:
-    """In-process sharded execution: per trial, K partials + a merge tree.
+    """Sharded execution: per trial, K partials + a merge tree.
 
-    Produces exactly the records the pool's partial-shipping path
-    assembles — :func:`repro.distributed.estimate_sharded` with
-    ``merge="tree"`` per trial seed.
+    Each trial is :func:`repro.distributed.estimate_sharded` with
+    ``merge="tree"`` under that trial's seed.
     """
     from ..distributed import estimate_sharded
 
@@ -520,17 +518,15 @@ def _execute_remote(
     ref,
     backend=None,
     faults=None,
-    retries=None,
     attempt: int = 0,
 ):
     """Worker entry point: re-pin the backend, attach the dataset, run.
 
-    ``attempt`` is the parent-side resubmission count — threaded into the
-    ``sweep.unit`` fault point so a crash/error spec with ``times=t``
-    stops firing once the parent has resubmitted the task ``t`` times
-    (the fault-absorption contract, across real process deaths).
-    In-worker retries (``retries``) absorb faults at the inner points
-    without a round trip to the parent.
+    The unit runs once.  ``attempt`` is the parent's resubmission count:
+    the ``sweep.unit`` fault point and every inner point (``shard.collect``,
+    ``session.ingest``) see it instead of per-worker hit counters, so a
+    spec with ``times=t`` stops firing once the parent has resubmitted
+    the unit ``t`` times, even on a fresh worker after a process death.
     """
     _ensure_worker_backend(backend)
     _ensure_worker_faults(faults)
@@ -543,129 +539,8 @@ def _execute_remote(
         crashable=True,
     )
     instance = _instance_from_ref(ref)
-    policy = as_retry_policy(retries)
-    # The resubmission attempt scopes the whole task: inner fault points
-    # (shard.collect, session.ingest) see it instead of per-worker hit
-    # counters, which would re-fire when a resubmission lands on a fresh
-    # worker.  An in-worker policy nests its own attempt scope inside.
     with attempt_scope(int(attempt)):
-        if policy is None:
-            return unit.index, execute_unit(unit, estimator, instance)
-        records = policy.call(
-            lambda: execute_unit(unit, estimator, instance),
-            operation=f"sweep unit {unit.index} ({unit.dataset}/{unit.method})",
-        )
-    return unit.index, records
-
-
-def _execute_remote_tagged(
-    unit: SweepUnit,
-    estimator: JoinEstimator,
-    ref,
-    backend=None,
-    faults=None,
-    retries=None,
-    attempt: int = 0,
-):
-    """Whole-unit worker task, tagged for the mixed shard/unit scheduler."""
-    index, records = _execute_remote(
-        unit, estimator, ref, backend, faults, retries, attempt
-    )
-    return ("unit", index, records)
-
-
-#: Per-worker cache of prepared shard runs: one plan (pairs draw +
-#: population split) serves all K of a trial's shard tasks instead of
-#: re-planning per shard.  Bounded; keys are plan-determined.
-_WORKER_SHARD_RUNS: Dict[Tuple, Tuple[JoinInstance, object]] = {}
-_WORKER_SHARD_RUNS_MAX = 4
-
-
-def _estimator_config_key(estimator: JoinEstimator) -> Tuple:
-    """A hashable snapshot of an estimator's configuration.
-
-    Part of the shard-run cache key: two sweeps in one process may use
-    the same method name with different options (k, m, pool size, ...),
-    and a prepared run from the first must never serve the second.
-    """
-    try:
-        attrs = vars(estimator)
-    except TypeError:  # pragma: no cover - exotic estimator without __dict__
-        attrs = {}
-    return tuple(
-        sorted((name, repr(value)) for name, value in attrs.items())
-    )
-
-
-def _prepared_shard_run(
-    unit: SweepUnit, estimator: JoinEstimator, instance: JoinInstance, trial_seed: int
-):
-    from ..distributed import prepare_shard_run
-
-    key = (
-        unit.method,
-        float(unit.epsilons[0]),
-        int(trial_seed),
-        unit.shards,
-        _estimator_config_key(estimator),
-    )
-    entry = _WORKER_SHARD_RUNS.get(key)
-    # The cached entry pins the *instance object* it was planned against:
-    # a later sweep over a same-named dataset with different content (new
-    # scale/size, fresh shared-memory segment) is a different object and
-    # misses, instead of silently reusing a stale population split.
-    if entry is not None and entry[0] is instance:
-        return entry[1]
-    run = prepare_shard_run(
-        estimator,
-        instance,
-        unit.epsilons[0],
-        num_shards=unit.shards,
-        seed=trial_seed,
-    )
-    _WORKER_SHARD_RUNS[key] = (instance, run)
-    while len(_WORKER_SHARD_RUNS) > _WORKER_SHARD_RUNS_MAX:
-        _WORKER_SHARD_RUNS.pop(next(iter(_WORKER_SHARD_RUNS)))
-    return run
-
-
-def _execute_shard_remote(
-    unit: SweepUnit,
-    estimator: JoinEstimator,
-    ref,
-    backend,
-    trial_seed: int,
-    trial_pos: int,
-    shard_index: int,
-    faults=None,
-    retries=None,
-    attempt: int = 0,
-):
-    """Shard-granular worker task: emit one trial's shard partial.
-
-    The run is rebuilt deterministically from plan data (trial seed,
-    shard count), so any worker produces the identical partial for
-    ``(unit, trial, shard)`` — the parent tree-merges them in shard
-    order and finalises, replacing whole-trial shipping.  ``attempt``
-    is the parent-side resubmission count (see :func:`_execute_remote`);
-    ``retries`` additionally retries the collect in-worker, with the
-    shard's RNG snapshot restored per attempt.
-    """
-    _ensure_worker_backend(backend)
-    _ensure_worker_faults(faults)
-    fault_point(
-        "sweep.shard",
-        unit=unit.index,
-        trial=trial_pos,
-        shard=shard_index,
-        attempt=int(attempt),
-        crashable=True,
-    )
-    instance = _instance_from_ref(ref)
-    with attempt_scope(int(attempt)):  # see _execute_remote
-        run = _prepared_shard_run(unit, estimator, instance, trial_seed)
-        partial = run.collect(shard_index, retries=retries)
-    return ("shard", unit.index, trial_pos, shard_index, partial)
+        return execute_unit(unit, estimator, instance)
 
 
 #: The parent-side process pool, created lazily and reused across sweeps
@@ -720,6 +595,12 @@ def _execute_unit_guarded(
     )
 
 
+def _cell(unit: SweepUnit) -> str:
+    """The grid-cell label a lost unit is reported under."""
+    epsilons = ",".join(f"{epsilon:g}" for epsilon in unit.epsilons)
+    return f"{unit.dataset}/{unit.method}/eps={epsilons}"
+
+
 def iter_sweep(
     plan: SweepPlan,
     *,
@@ -729,34 +610,32 @@ def iter_sweep(
 ) -> Iterator[Tuple[SweepUnit, List[TrialRecord]]]:
     """Execute a plan, yielding ``(unit, records)`` in plan order.
 
-    ``workers=1`` runs in-process.  ``workers > 1`` fans the work out on
-    a process pool; each dataset's value arrays are written once to
-    shared memory and attached by the workers, and completed units are
-    buffered so the stream still emerges in plan order.  Units planned
-    with ``shards=K`` are split to *shard granularity*: workers emit one
-    :class:`~repro.distributed.PartialAggregate` per (trial, shard) and
-    the parent tree-merges each trial's K partials and finalises —
-    replacing whole-trial shipping.  Output is bit-identical across
-    worker counts either way — every unit's (and shard's) randomness is
+    ``workers=1``, or a plan of at most one unit, runs in-process.
+    Otherwise every unit is one task on a process pool: each dataset's
+    value arrays are written once to shared memory and attached by the
+    workers, and completed units are buffered so the stream still
+    emerges in plan order.  A unit planned with ``shards=K`` runs its K
+    shards and its merge tree inside its worker.  Output is
+    bit-identical across worker counts — every unit's randomness is
     fixed by the plan, not by scheduling.
 
     ``retries`` (an attempt count or :class:`~repro.reliability.RetryPolicy`)
-    bounds how often a failed task is re-run; ``fault_plan`` (a
+    bounds how often a failed unit is re-run; ``fault_plan`` (a
     :class:`~repro.reliability.FaultPlan` or a JSON file path) arms a
     deterministic fault schedule for the whole sweep, in-process and in
-    every worker.  A worker death (``BrokenProcessPool``) restarts the
-    pool and resubmits every in-flight task spec against the retry
-    budget; tasks still failing when it runs out raise
-    :class:`~repro.errors.SweepWorkerLostError` naming the lost grid
-    cells.  Because tasks are pure functions of plan data, any absorbed
-    failure leaves the yielded records bit-identical.
+    every worker.  In-process, the policy retries each unit and raises
+    :class:`~repro.errors.RetryExhaustedError` when spent.  In a pool,
+    the parent resubmits a unit that raised a retryable error or lost
+    its worker (``BrokenProcessPool`` restarts the pool and resubmits
+    every in-flight unit); units still failing when the budget runs out
+    raise :class:`~repro.errors.SweepWorkerLostError` naming the lost
+    grid cells.  Because units are pure functions of plan data, any
+    absorbed failure leaves the yielded records bit-identical.
     """
     workers = require_positive_int("workers", workers)
     policy = as_retry_policy(retries)
     faults = as_fault_plan(fault_plan)
-    if workers == 1 or (
-        len(plan.units) <= 1 and not any(u.shards for u in plan.units)
-    ):
+    if workers == 1 or len(plan.units) <= 1:
         with injected(faults):
             for unit in plan.units:
                 yield unit, _execute_unit_guarded(plan, unit, policy)
@@ -764,7 +643,7 @@ def iter_sweep(
     from concurrent.futures import FIRST_COMPLETED, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    from ..distributed import merge_tree, pool_shardable
+    from ..backend import get_backend
 
     refs = {}
     handles = []
@@ -772,185 +651,90 @@ def iter_sweep(
         for name, instance in plan.instances.items():
             refs[name], shms = _instance_ref(instance)
             handles.extend(shms)
-        results: Dict[int, List[TrialRecord]] = {}
-        shard_state: Dict[int, dict] = {}  # unit index -> in-flight shards
-        specs: List[Tuple] = []
-        for unit in plan.units:
-            estimator = plan.estimators[unit.method]
-            if unit.shards and pool_shardable(estimator):
-                trial_seeds = _unit_trial_seeds(unit)
-                shard_state[unit.index] = {
-                    "trial_seeds": trial_seeds,
-                    "parts": {t: {} for t in range(len(trial_seeds))},
-                    "trial_results": {},
-                }
-                for t, trial_seed in enumerate(trial_seeds):
-                    for s in range(unit.shards):
-                        specs.append(("shard", unit, trial_seed, t, s))
-            else:
-                # Multi-round protocols (LDPJoinSketch+) and
-                # estimation-dominated finalisers (the oracle baselines)
-                # run whole-trial: one task per unit, with execute_unit
-                # honouring unit.shards in-process — identical records,
-                # but the heavy estimation stays in the worker.
-                specs.append(("unit", unit, None, None, None))
-        next_index = 0
-        pool = _get_executor(min(workers, len(specs)))
+        pool_size = min(workers, len(plan.units))
+        pool = _get_executor(pool_size)
         # Ship the parent's active backend name so workers re-resolve it
         # after fork/spawn (see _ensure_worker_backend).
-        from ..backend import get_backend
-
         backend_name = get_backend().name
         fault_payload = faults.to_dict() if faults is not None else None
-        retry_payload = policy.to_dict() if policy is not None else None
-        #: Parent-side resubmission budget per task spec.  The same
-        #: max_attempts bounds both tiers: in-worker retries absorb
-        #: raised faults, resubmission absorbs whole worker deaths.
-        max_task_attempts = policy.max_attempts if policy is not None else 1
-        spec_attempts = [0] * len(specs)
-        future_specs: Dict = {}
+        max_attempts = policy.max_attempts if policy is not None else 1
+        attempts = [0] * len(plan.units)
+        future_units: Dict = {}
+        results: Dict[int, List[TrialRecord]] = {}
 
-        def _cell(spec) -> str:
-            kind, unit, _trial_seed, t, s = spec
-            label = f"{unit.dataset}/{unit.method}/eps={unit.epsilons[0]:g}"
-            if kind == "shard":
-                label += f"/trial{t}/shard{s}"
-            return label
-
-        def _submit(spec_i: int):
+        def _submit(unit: SweepUnit):
             nonlocal pool
-            kind, unit, trial_seed, t, s = specs[spec_i]
-            estimator = plan.estimators[unit.method]
-            ref = refs[unit.dataset]
-            if kind == "unit":
-                task = (
-                    _execute_remote_tagged,
-                    unit,
-                    estimator,
-                    ref,
-                    backend_name,
-                    fault_payload,
-                    retry_payload,
-                    spec_attempts[spec_i],
-                )
-            else:
-                task = (
-                    _execute_shard_remote,
-                    unit,
-                    estimator,
-                    ref,
-                    backend_name,
-                    trial_seed,
-                    t,
-                    s,
-                    fault_payload,
-                    retry_payload,
-                    spec_attempts[spec_i],
-                )
+            task = (
+                _execute_remote,
+                unit,
+                plan.estimators[unit.method],
+                refs[unit.dataset],
+                backend_name,
+                fault_payload,
+                attempts[unit.index],
+            )
             try:
                 future = pool.submit(*task)
             except BrokenProcessPool:
                 # A fast worker death can break the pool while submits
                 # are still in flight, making submit itself raise —
-                # restart and re-place this spec on the fresh pool.  No
-                # attempt is burned: the spec never ran, and the crashed
-                # spec that broke the pool is charged when its own
-                # future surfaces the breakage.  In-flight futures of
-                # the dead pool fail the same way and go through the
-                # ordinary resubmission path.
+                # restart and re-place this unit on the fresh pool.  No
+                # attempt is burned: the unit never ran, and the unit
+                # that broke the pool is charged when its own future
+                # surfaces the breakage.
                 _shutdown_executor()
-                pool = _get_executor(min(workers, len(specs)))
+                pool = _get_executor(pool_size)
                 future = pool.submit(*task)
-            future_specs[future] = spec_i
+            future_units[future] = unit
             return future
 
-        def _finalize_trial(unit: SweepUnit, state: dict, t: int) -> None:
-            estimator = plan.estimators[unit.method]
-            instance = plan.instances[unit.dataset]
-            run = _prepared_shard_run(
-                unit, estimator, instance, state["trial_seeds"][t]
-            )
-            parts = state["parts"].pop(t)
-            merged = merge_tree([parts[s] for s in range(unit.shards)], copy=False)
-            state["trial_results"][t] = run.finalize(merged)
-            if len(state["trial_results"]) == len(state["trial_seeds"]):
-                ordered = [
-                    state["trial_results"][i]
-                    for i in range(len(state["trial_seeds"]))
-                ]
-                results[unit.index] = _records_from_results(
-                    estimator.name, instance, unit.epsilons[0], ordered
-                )
-
         try:
-            pending = {_submit(spec_i) for spec_i in range(len(specs))}
-            while next_index < len(plan.units):
-                while next_index < len(plan.units) and next_index in results:
+            pending = {_submit(unit) for unit in plan.units}
+            next_index = 0
+            while True:
+                while next_index in results:
                     yield plan.units[next_index], results.pop(next_index)
                     next_index += 1
                 if next_index >= len(plan.units):
                     break
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                failed: List[SweepUnit] = []
                 broken = False
-                resubmit: List[int] = []
                 last_error: Optional[BaseException] = None
                 for future in done:
-                    spec_i = future_specs.pop(future)
+                    unit = future_units.pop(future)
                     try:
-                        payload = future.result()
+                        results[unit.index] = future.result()
                     except BrokenProcessPool as error:
                         broken = True
-                        resubmit.append(spec_i)
+                        failed.append(unit)
                         last_error = error
-                        continue
-                    except RetryExhaustedError as error:
-                        # The worker already burned the whole in-worker
-                        # budget on this task; resubmitting replays the
-                        # same deterministic schedule — terminal.
-                        raise SweepWorkerLostError(
-                            f"sweep task failed past its in-worker retry "
-                            f"budget: {error}",
-                            cells=[_cell(specs[spec_i])],
-                        ) from error
                     except DEFAULT_RETRYABLE as error:
-                        resubmit.append(spec_i)
+                        failed.append(unit)
                         last_error = error
-                        continue
-                    if payload[0] == "unit":
-                        _, index, records = payload
-                        results[index] = records
-                    else:
-                        _, index, t, s, partial = payload
-                        unit = plan.units[index]
-                        state = shard_state[index]
-                        state["parts"][t][s] = partial
-                        if len(state["parts"][t]) == unit.shards:
-                            _finalize_trial(unit, state, t)
                 if broken:
                     # A worker death breaks the whole pool: every other
                     # in-flight future fails with it.  Reclaim their
-                    # specs, restart the pool, resubmit everything.
-                    for future in pending:
-                        resubmit.append(future_specs.pop(future))
+                    # units, restart the pool, resubmit everything.
+                    failed.extend(future_units.pop(future) for future in pending)
                     pending = set()
                     _shutdown_executor()
-                    pool = _get_executor(min(workers, max(1, len(resubmit))))
-                if resubmit:
-                    exhausted = sorted(
-                        spec_i
-                        for spec_i in resubmit
-                        if spec_attempts[spec_i] + 1 >= max_task_attempts
-                    )
-                    if exhausted:
-                        raise SweepWorkerLostError(
-                            f"{len(exhausted)} sweep task(s) failed past the "
-                            f"retry budget (attempts={max_task_attempts}; "
-                            f"pass retries= to raise it)",
-                            cells=[_cell(specs[spec_i]) for spec_i in exhausted],
-                        ) from last_error
-                    for spec_i in resubmit:
-                        spec_attempts[spec_i] += 1
-                        pending.add(_submit(spec_i))
+                    pool = _get_executor(min(workers, len(failed)))
+                exhausted = sorted(
+                    unit.index
+                    for unit in failed
+                    if attempts[unit.index] + 1 >= max_attempts
+                )
+                if exhausted:
+                    raise SweepWorkerLostError(
+                        f"{len(exhausted)} sweep unit(s) failed past the "
+                        f"retry budget (attempts={max_attempts}; pass "
+                        f"retries= to raise it)",
+                        cells=[_cell(plan.units[index]) for index in exhausted],
+                    ) from last_error
+                for unit in failed:
+                    attempts[unit.index] += 1
+                    pending.add(_submit(unit))
         except Exception:
             # A broken pool (killed worker, pickling failure) must not
             # poison later sweeps — drop the cached executor so the next

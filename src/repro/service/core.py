@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from collections import OrderedDict
+from collections import OrderedDict, abc
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -59,7 +59,7 @@ from ..hashing.kwise import check_domain
 from ..reliability.faults import fault_point
 from ..reliability.retry import RetryPolicy
 from ..temporal.session import TemporalSession
-from .wal import FSYNC_POLICIES, WalTear, WriteAheadLog
+from .wal import FSYNC_POLICIES, WriteAheadLog
 
 __all__ = [
     "AggregationService",
@@ -75,6 +75,30 @@ SNAPSHOT_FORMAT = "repro/service-snapshot"
 SNAPSHOT_VERSION = 2
 
 logger = logging.getLogger("repro.service")
+
+
+def _int64_values(values) -> np.ndarray:
+    """``values`` as an int64 array, refusing what a cast would coerce.
+
+    ``np.asarray(values, dtype=np.int64)`` truncates floats and turns
+    booleans and numeric strings into integers, so the element types are
+    checked first: an integer-dtype array passes, and so does a sequence
+    of Python or NumPy integers without a bool among them.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iu":
+            raise TypeError(f"got a {values.dtype} array")
+        return values.astype(np.int64, copy=False)
+    if not isinstance(values, abc.Sequence):
+        raise TypeError(f"got a {type(values).__name__}")
+    bad = sorted(
+        kind.__name__
+        for kind in set(map(type, values))
+        if issubclass(kind, bool) or not issubclass(kind, (int, np.integer))
+    )
+    if bad:
+        raise TypeError(f"got {', '.join(bad)} elements")
+    return np.fromiter(values, dtype=np.int64, count=len(values))
 
 
 def batch_seed(service_seed: int, sequence: int) -> int:
@@ -374,15 +398,22 @@ class AggregationService:
     def _validate_batch(
         self, tenant: str, stream: str, values: Sequence[int], attribute: int
     ) -> dict:
-        if not tenant or not isinstance(tenant, str):
-            raise ParameterError(f"tenant must be a non-empty string, got {tenant!r}")
-        if "/" in tenant:
-            raise ParameterError(
-                f"tenant must not contain '/' (reserved for stream "
-                f"namespacing), got {tenant!r}"
-            )
-        if not stream or not isinstance(stream, str):
-            raise ParameterError(f"stream must be a non-empty string, got {stream!r}")
+        # '/' namespaces a tenant's streams in the session; '#' and '@'
+        # are the ledger's cohort (``A#2``) and merge (``g@partial1``)
+        # suffixes, so a name holding one could collide with a generated
+        # group name and split or merge another name's accounting.
+        for name, value, reserved in (
+            ("tenant", tenant, "/#@"),
+            ("stream", stream, "#@"),
+        ):
+            if not value or not isinstance(value, str):
+                raise ParameterError(f"{name} must be a non-empty string, got {value!r}")
+            for mark in reserved:
+                if mark in value:
+                    raise ParameterError(
+                        f"{name} must not contain {mark!r} (reserved for "
+                        f"stream and ledger group names), got {value!r}"
+                    )
         # Everything the fold would reject is rejected here, before the
         # WAL append: a record that cannot fold would fail every replay.
         try:
@@ -393,9 +424,11 @@ class AggregationService:
             ) from error
         self._session.params_for(attribute)  # bounds check
         try:
-            array = np.asarray(values, dtype=np.int64)
+            array = _int64_values(values)
         except (TypeError, ValueError, OverflowError) as error:
-            raise ParameterError(f"batch values must be integers: {error}") from error
+            raise ParameterError(
+                f"batch values must be a 1-D sequence of integers: {error}"
+            ) from error
         if array.ndim != 1 or array.size == 0:
             raise ParameterError(
                 f"batch values must be a non-empty 1-D sequence, got shape "

@@ -196,7 +196,7 @@ class ServiceServer:
         # finish instead of being cancelled at loop teardown.
         for writer in list(self._connections):
             writer.close()
-        if self._queue is not None:
+        if self._queue is not None and not self._worker.done():
             await self._queue.put(None)  # drain sentinel: fold the rest, stop
         if self._worker is not None:
             await self._worker
@@ -248,6 +248,7 @@ class ServiceServer:
                     # flip /healthz, and stop rather than limp on (the
                     # finally below still marks this item done, once).
                     self._worker_error = f"{type(error).__name__}: {error}"
+                    self._release_queued()
                     return
             else:
                 if not future.done():
@@ -259,6 +260,20 @@ class ServiceServer:
                 else:
                     self._pending_by_tenant.pop(tenant, None)
                 self._queue.task_done()
+
+    def _release_queued(self) -> None:
+        """Answer every batch queued behind a dead worker: none will fold.
+
+        Each waiting request resolves to ``None``, which
+        :meth:`_handle_report` answers with the worker's error.  Emptying
+        the queue also frees a ``shutdown()`` blocked on the drain
+        sentinel.
+        """
+        while not self._queue.empty():
+            item = self._queue.get_nowait()
+            self._queue.task_done()
+            if item is not None and not item[1].done():
+                item[1].set_result(None)
 
     async def _watchdog_loop(self) -> None:
         """Liveness + snapshot freshness: the publisher's dead-man switch."""
@@ -572,6 +587,10 @@ class ServiceServer:
         tenant = str(payload["tenant"])
         if self._closing or self._queue is None:
             return 503, {"error": "service is draining"}, {"Retry-After": "1"}
+        if self._worker_error is not None:
+            # Nothing would fold a queued batch: refuse it now rather
+            # than at the deadline.
+            return 503, {"error": self._worker_error}, None
         depth = self._queue.qsize()
         retry_after = {"Retry-After": str(max(1, math.ceil(depth / 16)))}
         if self._pending_by_tenant.get(tenant, 0) >= self.config.tenant_queue_limit:
@@ -596,6 +615,8 @@ class ServiceServer:
             # The batch stays queued and will still fold (and is or will
             # be WAL-durable); only the acknowledgement timed out.
             return 503, {"error": "ingest deadline exceeded; batch queued"}, None
+        if ack is None:  # released unfolded by a dead worker
+            return 503, {"error": self._worker_error}, None
         return 200, ack, None
 
     async def _handle_replicate(

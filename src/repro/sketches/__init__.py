@@ -7,9 +7,8 @@ against:
 * :class:`FastAGMSSketch` — the Fast-AGMS sketch (Cormode & Garofalakis),
   the non-private "FAGMS" baseline of the experiments and the structure
   LDPJoinSketch privatises;
-* :class:`CountMinSketch` and :class:`CountSketch` — standard frequency
-  summaries, used for comparison and by tests;
-* :class:`CountMeanSketch` — the server-side structure of Apple's CMS/HCMS;
+* :class:`CountMinSketch` — a standard frequency summary, used for
+  comparison and by tests;
 * :class:`CompassChainSketches` — COMPASS-style multiway chain-join
   sketches (Section VI baseline).
 """
@@ -18,8 +17,6 @@ from .base import LinearSketch
 from .agms import AGMSSketch
 from .fast_agms import FastAGMSSketch
 from .count_min import CountMinSketch
-from .count_sketch import CountSketch
-from .count_mean import CountMeanSketch
 from .compass import CompassChainSketches, CompassMiddleSketch
 
 __all__ = [
@@ -27,8 +24,6 @@ __all__ = [
     "AGMSSketch",
     "FastAGMSSketch",
     "CountMinSketch",
-    "CountSketch",
-    "CountMeanSketch",
     "CompassChainSketches",
     "CompassMiddleSketch",
 ]

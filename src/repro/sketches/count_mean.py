@@ -1,4 +1,4 @@
-"""The Count-Mean Sketch (the server structure of Apple's CMS / HCMS).
+"""The Count-Mean read-out (the server side of Apple's CMS / HCMS).
 
 Apple's "Learning with Privacy at Scale" aggregates randomized one-hot
 client reports into a ``(k, m)`` count array and answers point queries with
@@ -9,24 +9,18 @@ the *debiased mean* over rows
     \\hat f(d) = \\frac{m}{m - 1}\\Big(\\tfrac1k \\sum_j M[j, h_j(d)]
                  - \\tfrac{n}{m}\\Big),
 
-which corrects the expected ``n/m`` collision mass per bucket.  This module
-implements the **non-private** structure (plain updates); the LDP client
-channel on top of it lives in :mod:`repro.mechanisms.hcms`, which reuses the
-read-out implemented here.
+which corrects the expected ``n/m`` collision mass per bucket.  The LDP
+client channel on top of it lives in :mod:`repro.mechanisms.hcms`.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
 from ..errors import ParameterError
 from ..hashing import HashPairs
-from ..rng import RandomState
-from .base import LinearSketch
 
-__all__ = ["CountMeanSketch", "count_mean_frequencies"]
+__all__ = ["count_mean_frequencies"]
 
 
 def count_mean_frequencies(
@@ -37,9 +31,8 @@ def count_mean_frequencies(
 ) -> np.ndarray:
     """Debiased Count-Mean point estimates for ``values``.
 
-    Shared by the non-private :class:`CountMeanSketch` and the LDP
-    Apple-HCMS server: both hold a ``(k, m)`` count array whose rows have
-    expected bucket load ``total / m`` under no signal.
+    ``counts`` is a ``(k, m)`` count array whose rows have expected
+    bucket load ``total / m`` under no signal.
     """
     m = pairs.m
     if m < 2:
@@ -51,31 +44,3 @@ def count_mean_frequencies(
     rows = np.arange(pairs.k, dtype=np.int64)[:, None]
     mean_counts = np.mean(counts[rows, buckets], axis=0)
     return (m / (m - 1.0)) * (mean_counts - total / m)
-
-
-class CountMeanSketch(LinearSketch):
-    """Non-private Count-Mean Sketch over integer ids."""
-
-    @classmethod
-    def create(cls, k: int, m: int, seed: RandomState = None) -> "CountMeanSketch":
-        """Convenience constructor drawing fresh hash pairs."""
-        return cls(HashPairs(k, m, seed))
-
-    def update_batch(self, values: Iterable[int], weight: float = 1.0) -> None:
-        """Fold ``values`` into every row (unsigned one-hot updates)."""
-        arr = self._coerce(values)
-        if arr.size == 0:
-            return
-        buckets = self.pairs.bucket_all(arr)
-        rows = np.repeat(np.arange(self.k, dtype=np.int64), arr.size)
-        self._scatter_add(rows, buckets.ravel(), np.full(arr.size * self.k, weight))
-        self.total_weight += weight * arr.size
-
-    def frequency(self, value: int) -> float:
-        """Debiased mean point estimate (can be negative)."""
-        return float(self.frequencies(np.asarray([value], dtype=np.int64))[0])
-
-    def frequencies(self, values: Iterable[int]) -> np.ndarray:
-        """Vectorised :meth:`frequency`."""
-        arr = self._coerce(values)
-        return count_mean_frequencies(self.counts, self.pairs, self.total_weight, arr)

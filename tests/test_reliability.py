@@ -176,7 +176,7 @@ class TestFaultPlan:
 
     def test_random_plans_are_seed_deterministic(self):
         kwargs = dict(
-            points=("shard.collect", "sweep.shard"),
+            points=("shard.collect", "sweep.unit"),
             num_faults=3,
             num_shards=7,
             max_times=2,
@@ -603,12 +603,13 @@ class TestShardedFaultTolerance:
 # Sweep pool recovery
 # ----------------------------------------------------------------------
 def _sweep_plan(instance):
+    """Two sharded units (one per epsilon): enough to run on the pool."""
     from repro.experiments.sweep import plan_grid
 
     return plan_grid(
         [instance.name],
         {"LDPJoinSketch": get_estimator("ldp-join-sketch", k=3, m=32)},
-        [2.0],
+        [2.0, 8.0],
         2,
         seed=55,
         shards=2,
@@ -616,55 +617,74 @@ def _sweep_plan(instance):
     )
 
 
+def _sweep_estimates(instance, **kwargs):
+    from repro.experiments.sweep import run_sweep
+
+    return [
+        [r.estimate for r in block]
+        for block in run_sweep(_sweep_plan(instance), **kwargs)
+    ]
+
+
 class TestSweepFaultRecovery:
     def test_worker_task_faults_are_absorbed_byte_identically(self, instance):
-        from repro.experiments.sweep import run_sweep
-
-        baseline = [
-            [r.estimate for r in block]
-            for block in run_sweep(_sweep_plan(instance), workers=1)
-        ]
+        """A fault inside a unit's sharded run is retried as the whole unit."""
+        baseline = _sweep_estimates(instance, workers=1)
         plan = FaultPlan(
-            [FaultSpec(point="sweep.shard", kind="error", times=1, match={"shard": 1})]
+            [FaultSpec(point="shard.collect", kind="error", times=1, match={"shard": 1})]
         )
         for workers in (1, 2):
-            got = [
-                [r.estimate for r in block]
-                for block in run_sweep(
-                    _sweep_plan(instance), workers=workers, retries=3, fault_plan=plan
-                )
-            ]
+            got = _sweep_estimates(
+                instance, workers=workers, retries=3, fault_plan=plan
+            )
             assert got == baseline, f"workers={workers}"
 
     def test_worker_death_recovers_byte_identically(self, instance):
-        from repro.experiments.sweep import run_sweep
-
-        baseline = [
-            [r.estimate for r in block]
-            for block in run_sweep(_sweep_plan(instance), workers=1)
-        ]
+        baseline = _sweep_estimates(instance, workers=1)
         death = FaultPlan(
-            [FaultSpec(point="sweep.shard", kind="crash", times=1, match={"shard": 0})],
+            [FaultSpec(point="sweep.unit", kind="crash", times=1, match={"unit": 0})],
             hard_crashes=True,  # os._exit in the worker: a real BrokenProcessPool
         )
-        got = [
-            [r.estimate for r in block]
-            for block in run_sweep(
-                _sweep_plan(instance), workers=2, retries=3, fault_plan=death
-            )
-        ]
+        got = _sweep_estimates(instance, workers=2, retries=3, fault_plan=death)
         assert got == baseline
 
     def test_exhausted_budget_names_the_lost_cells(self, instance):
-        from repro.experiments.sweep import run_sweep
-
         plan = FaultPlan(
-            [FaultSpec(point="sweep.shard", kind="error", times=9, match={"shard": 0})]
+            [FaultSpec(point="sweep.unit", kind="error", times=2, match={"unit": 0})]
         )
         with pytest.raises(SweepWorkerLostError) as excinfo:
-            run_sweep(_sweep_plan(instance), workers=2, retries=2, fault_plan=plan)
-        assert excinfo.value.cells
-        assert any("shard0" in cell for cell in excinfo.value.cells)
+            _sweep_estimates(instance, workers=2, retries=2, fault_plan=plan)
+        assert excinfo.value.cells == (f"{instance.name}/LDPJoinSketch/eps=2",)
+        # The parent resubmitted once before giving up: the last failure
+        # is the unit's second attempt.
+        assert excinfo.value.__cause__.context["attempt"] == 1
+        with pytest.raises(RetryExhaustedError):
+            _sweep_estimates(instance, workers=1, retries=2, fault_plan=plan)
+        # One more attempt absorbs the same schedule.
+        assert _sweep_estimates(
+            instance, workers=2, retries=3, fault_plan=plan
+        ) == _sweep_estimates(instance, workers=1)
+
+
+    def test_lost_grouped_unit_names_every_epsilon(self, instance):
+        from repro.experiments.sweep import plan_grid, run_sweep
+
+        plan = plan_grid(
+            [instance.name],
+            {
+                "LDPJoinSketch": get_estimator("ldp-join-sketch", k=3, m=32),
+                "FAGMS": get_estimator("fagms", k=3, m=32),
+            },
+            [2.0, 8.0],
+            2,
+            seed=55,
+            trial_axis="grouped",
+            instances={instance.name: instance},
+        )
+        fault = FaultPlan([FaultSpec(point="sweep.unit", kind="error", match={"unit": 0})])
+        with pytest.raises(SweepWorkerLostError) as excinfo:
+            run_sweep(plan, workers=2, fault_plan=fault)
+        assert excinfo.value.cells == (f"{instance.name}/LDPJoinSketch/eps=2,8",)
 
 
 # ----------------------------------------------------------------------
@@ -679,6 +699,41 @@ class TestReliabilityCLI:
         )
         assert args.retries == 3
         assert str(args.fault_plan) == "plan.json"
+
+    #: A tiny two-unit sweep (the README's chaos command at small scale).
+    SWEEP_ARGS = [
+        "sweep", "--scale", "0.0005", "--trials", "2", "--k", "3", "--m", "32",
+        "--epsilons", "1", "4", "--shards", "2",
+    ]
+
+    @staticmethod
+    def _sweep_table(capsys) -> str:
+        out = capsys.readouterr().out
+        return out[: out.index("[sweep completed")]
+
+    def test_sweep_fault_plan_is_armed(self, tmp_path):
+        from repro.experiments.cli import main
+
+        always = FaultPlan([FaultSpec(point="sweep.unit", kind="error", times=99)])
+        path = always.save(tmp_path / "plan.json")
+        with pytest.raises(InjectedFaultError):
+            main(self.SWEEP_ARGS + ["--fault-plan", str(path)])
+        with pytest.raises(SweepWorkerLostError):
+            main(self.SWEEP_ARGS + ["--workers", "2", "--fault-plan", str(path)])
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_retries_absorb_the_fault_plan(self, tmp_path, capsys, workers):
+        from repro.experiments.cli import main
+
+        once = FaultPlan([FaultSpec(point="sweep.unit", kind="error", times=1)])
+        path = once.save(tmp_path / "plan.json")
+        args = self.SWEEP_ARGS + ["--workers", workers]
+        assert main(args) == 0
+        clean = self._sweep_table(capsys)
+        with pytest.raises((InjectedFaultError, SweepWorkerLostError)):
+            main(args + ["--fault-plan", str(path)])
+        assert main(args + ["--retries", "3", "--fault-plan", str(path)]) == 0
+        assert self._sweep_table(capsys) == clean
 
     def test_shard_run_with_fault_plan_and_retries(self, tmp_path, capsys):
         from repro.experiments.cli import main

@@ -312,7 +312,7 @@ class TestPlusWideDomainChaos:
 
 
 class TestSweepChaos:
-    """Random schedules over the pool's worker-entry fault points."""
+    """Random schedules inside pool units and at the worker entry."""
 
     @given(data=st.data())
     @settings(max_examples=5, deadline=None)
@@ -320,10 +320,11 @@ class TestSweepChaos:
         from repro.experiments.sweep import plan_grid, run_sweep
 
         def make_plan():
+            # Two units, so the sweep runs on the pool.
             return plan_grid(
                 [INSTANCE.name],
                 {"LDPJoinSketch": get_estimator("ldp-join-sketch", k=3, m=32)},
-                [2.0],
+                [2.0, 8.0],
                 2,
                 seed=55,
                 shards=2,
@@ -337,14 +338,14 @@ class TestSweepChaos:
                 for block in run_sweep(make_plan(), workers=2)
             ]
         plan_seed = data.draw(st.integers(0, 2**16), label="plan_seed")
-        plan = FaultPlan.random(
-            plan_seed,
-            points=("sweep.shard", "shard.collect"),
-            num_faults=2,
-            num_shards=2,
-            max_times=MAX_TIMES,
-            kinds=("error", "crash"),
+        draw = dict(max_times=MAX_TIMES, kinds=("error", "crash"))
+        in_unit = FaultPlan.random(
+            plan_seed, points=("shard.collect",), num_shards=2, **draw
         )
+        # A sweep.unit context carries no shard, so these specs match
+        # every unit.
+        at_entry = FaultPlan.random(plan_seed + 1, points=("sweep.unit",), **draw)
+        plan = FaultPlan(in_unit.specs + at_entry.specs, seed=plan_seed)
         assert plan.absorbable_by(RETRIES)
         got = [
             [r.estimate for r in block]

@@ -16,6 +16,7 @@ import asyncio
 import gc
 import json
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -253,6 +254,21 @@ class TestAggregationService:
             (TENANT, "A", [], "non-empty"),
             (TENANT, "A", [[1, 2]], "1-D"),
             (TENANT, "A", ["x"], "integers"),
+            # Ledger group suffixes: cohorts are "<stream>#<n>", merged
+            # collisions "<group>@partial<n>", and a tenant's epochs are
+            # charged to the name before its first '#'.
+            ("t#2", "A", [1], "reserved"),
+            ("t@x", "A", [1], "reserved"),
+            (TENANT, "A#2", [1], "reserved"),
+            (TENANT, "A@partial1", [1], "reserved"),
+            # Values an int64 cast would coerce instead of refusing.
+            (TENANT, "A", [1.7, 2.9, True], "integers"),
+            (TENANT, "A", [1, True], "integers"),
+            (TENANT, "A", [False], "integers"),
+            (TENANT, "A", [1, 2.0], "integers"),
+            (TENANT, "A", ["1"], "integers"),
+            (TENANT, "A", np.array([1.0, 2.0]), "integers"),
+            (TENANT, "A", np.array([True]), "integers"),
         ],
     )
     def test_batch_validation(self, tmp_path, tenant, stream, values, message):
@@ -737,6 +753,9 @@ class TestServiceServer:
                     {"values": [1, 2**31 - 1]},
                     {"values": [1, 2], "attribute": "abc"},
                     {"values": [1, 2], "attribute": None},
+                    {"values": [1.7, 2.9, True]},
+                    {"values": [1, True]},
+                    {"stream": "A#2", "values": [1, 2]},
                 ):
                     batch = {"tenant": TENANT, "stream": "A", **bad}
                     status, body, _ = await _request(
@@ -818,6 +837,60 @@ class TestServiceServer:
         asyncio.run(scenario())
         gc.collect()
         assert handled == []
+
+    def test_dead_worker_refuses_batches_and_shuts_down(self, tmp_path, monkeypatch):
+        """Once the ingest worker is dead, no batch waits on it.
+
+        Batches queued behind the fatal one, and batches posted later,
+        get a prompt 503 carrying the worker's error; none reaches the
+        WAL, and ``shutdown()`` returns although the queue was full.
+        """
+        timeout = 6.0
+        holding, release = threading.Event(), threading.Event()
+
+        def broken_ingest(*args, **kwargs):
+            holding.set()
+            release.wait(timeout)  # hold the worker while two batches queue
+            raise RuntimeError("fold exploded")
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            server = self._server(tmp_path, queue_limit=2, request_timeout=timeout)
+            host, port = await server.start()
+            monkeypatch.setattr(server.service, "ingest", broken_ingest)
+            batch = {"tenant": TENANT, "stream": "A", "values": [1]}
+
+            def post():
+                return asyncio.ensure_future(
+                    _request(host, port, "POST", "/v1/report", batch)
+                )
+
+            try:
+                first = post()
+                # The worker holds the first batch; two more fill the queue.
+                assert await loop.run_in_executor(None, holding.wait, timeout)
+                queued = [post(), post()]
+                for _ in range(500):
+                    _, body, _ = await _request(host, port, "GET", "/readyz")
+                    if body["queue_depth"] == 2:
+                        break
+                    await asyncio.sleep(0.01)
+                else:
+                    raise AssertionError("the ingest queue never filled")
+                released = loop.time()
+                release.set()
+                status, body, _ = await first
+                assert (status, body["error"]) == (500, "RuntimeError: fold exploded")
+                _, health, _ = await _request(host, port, "GET", "/healthz")
+                for status, body, _ in [*await asyncio.gather(*queued), await post()]:
+                    assert (status, body["error"]) == (503, health["error"])
+                assert loop.time() - released < timeout / 3
+            finally:
+                release.set()
+                await asyncio.wait_for(server.shutdown(), timeout)
+
+        asyncio.run(scenario())
+        assert WriteAheadLog(tmp_path / "data" / "wal.log").recover()[0] == []
 
     def test_backpressure_answers_429_with_retry_after(self, tmp_path):
         """A slow fold fills the per-tenant allowance; overflow gets 429."""

@@ -11,11 +11,10 @@ from repro.join import FrequencyVector, exact_join_size, exact_multiway_chain_si
 from repro.sketches import (
     AGMSSketch,
     CompassChainSketches,
-    CountMeanSketch,
     CountMinSketch,
-    CountSketch,
     FastAGMSSketch,
 )
+from repro.sketches.count_mean import count_mean_frequencies
 
 from .conftest import zipf_values
 
@@ -216,54 +215,40 @@ class TestCountMin:
         assert sketch.total_weight == 3
 
 
-class TestCountSketch:
-    def test_unbiased_frequency(self):
-        a = zipf_values(10_000, 100, 1.2, seed=39)
-        freq = FrequencyVector.from_values(a, 100)
-        sketch = CountSketch.create(7, 256, seed=40)
-        sketch.update_batch(a)
-        top = freq.top_k(5)
-        estimates = sketch.frequencies(top)
-        for value, est in zip(top, estimates):
-            true = freq.frequency(int(value))
-            assert abs(est - true) < 0.2 * true + 50
-
-    def test_heavy_hitters_returns_estimates(self):
-        a = np.concatenate(
-            [np.full(5000, 9, dtype=np.int64), zipf_values(2000, 64, 1.0, 41)]
-        )
-        sketch = CountSketch.create(5, 128, seed=42)
-        sketch.update_batch(a)
-        values, estimates = sketch.heavy_hitters(64, threshold=3000)
-        assert 9 in values
-        assert estimates[list(values).index(9)] > 3000
+def _count_mean_counts(pairs, values):
+    """Unsigned one-hot ``(k, m)`` counts: ``M[j, h_j(d)] += 1`` per item."""
+    counts = np.zeros((pairs.k, pairs.m))
+    buckets = pairs.bucket_all(np.asarray(values, dtype=np.int64))
+    for j in range(pairs.k):
+        np.add.at(counts[j], buckets[j], 1.0)
+    return counts
 
 
 class TestCountMean:
     def test_debiased_estimates(self):
         a = zipf_values(20_000, 128, 1.3, seed=43)
         freq = FrequencyVector.from_values(a, 128)
-        sketch = CountMeanSketch.create(18, 256, seed=44)
-        sketch.update_batch(a)
+        pairs = HashPairs(18, 256, seed=44)
         top = freq.top_k(5)
-        for value in top:
+        counts = _count_mean_counts(pairs, a)
+        estimates = count_mean_frequencies(counts, pairs, a.size, top)
+        for value, est in zip(top, estimates):
             true = freq.frequency(int(value))
-            assert abs(sketch.frequency(int(value)) - true) < 0.15 * true + 100
+            assert abs(est - true) < 0.15 * true + 100
 
     def test_mean_debias_zero_for_absent_items(self):
         # Items never inserted should estimate ~0 on average.
         a = zipf_values(20_000, 64, 1.1, seed=45)
-        sketch = CountMeanSketch.create(18, 256, seed=46)
-        sketch.update_batch(a)
+        pairs = HashPairs(18, 256, seed=46)
         absent = np.arange(64, 128)  # outside the data range
-        estimates = sketch.frequencies(absent)
+        counts = _count_mean_counts(pairs, a)
+        estimates = count_mean_frequencies(counts, pairs, a.size, absent)
         assert abs(float(np.mean(estimates))) < 60
 
     def test_requires_m_at_least_two(self):
-        sketch = CountMeanSketch.create(2, 1, seed=47)
-        sketch.update_batch([0])
+        pairs = HashPairs(2, 1, seed=47)
         with pytest.raises(ParameterError, match="m >= 2"):
-            sketch.frequency(0)
+            count_mean_frequencies(np.zeros((2, 1)), pairs, 1.0, [0])
 
 
 class TestCompass:
