@@ -18,8 +18,8 @@ serves them through one interface:
   :class:`~repro.core.LDPJoinSketchPlus` (Algorithms 3 and 5), and the
   Section VI multiway extension (:class:`~repro.core.LDPCompassProtocol`);
 * every substrate they stand on — Hadamard transforms, k-wise independent
-  hashing, the classical AGMS / Fast-AGMS / Count-Min sketches, the
-  Count-Mean read-out and COMPASS chain sketches;
+  hashing, the classical AGMS and Fast-AGMS sketches, the Count-Mean
+  read-out and COMPASS chain sketches;
 * the competitor LDP frequency oracles of the evaluation, with mergeable
   (shardable) server-side state, under one interface
   (:mod:`repro.mechanisms`);

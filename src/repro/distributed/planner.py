@@ -36,10 +36,13 @@ from ..validation import require_positive_int
 
 __all__ = ["ShardPlanner", "SHARD_STRATEGIES"]
 
-#: Multiplier/increment of the value-hash partition (splitmix64-style odd
-#: constants; fixed so hash plans are stable across runs and machines).
+#: Multiplier/increment of the value-hash partition, then splitmix64's
+#: finaliser multipliers (fixed so hash plans are stable across runs and
+#: machines).
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 _HASH_INCREMENT = np.uint64(0xD1B54A32D192ED03)
+_FINAL_1 = np.uint64(0xBF58476D1CE4E5B9)
+_FINAL_2 = np.uint64(0x94D049BB133111EB)
 
 SHARD_STRATEGIES = ("hash", "range")
 
@@ -95,7 +98,15 @@ class ShardPlanner:
         if self.strategy == "range":
             bounds = self._range_bounds(arr.size)
             return np.searchsorted(bounds[1:], np.arange(arr.size), side="right")
-        mixed = (arr.astype(np.uint64) * _HASH_MULTIPLIER) + _HASH_INCREMENT
+        mixed = arr.astype(np.uint64)
+        mixed *= _HASH_MULTIPLIER
+        mixed += _HASH_INCREMENT
+        # splitmix64's finaliser: ``% K`` reads the low bits, which the
+        # multiply-add alone barely moves across small values.
+        mixed ^= mixed >> np.uint64(30)
+        mixed *= _FINAL_1
+        mixed ^= mixed >> np.uint64(27)
+        mixed *= _FINAL_2
         mixed ^= mixed >> np.uint64(31)
         return (mixed % np.uint64(self.num_shards)).astype(np.int64)
 

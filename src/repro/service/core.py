@@ -13,7 +13,10 @@ never crashed.
 The determinism chain, link by link:
 
 1.  A batch is acknowledged only after its record is in the WAL; the
-    record's *sequence number* is its replay position.
+    record's *sequence number* is its replay position.  The WAL is the
+    node's only record store: nothing else keeps a record once it is
+    folded, and every rebuild (a restart, a standby's divergence
+    rewind) reads the records back from it.
 2.  The batch's client-simulation randomness is
     ``batch_seed(service_seed, sequence)`` — a sha256 derivation, so a
     replayed fold draws exactly the bits the dying process drew.
@@ -41,7 +44,7 @@ import logging
 from collections import OrderedDict, abc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +62,7 @@ from ..hashing.kwise import check_domain
 from ..reliability.faults import fault_point
 from ..reliability.retry import RetryPolicy
 from ..temporal.session import TemporalSession
-from .wal import FSYNC_POLICIES, WriteAheadLog
+from .wal import FSYNC_POLICIES, WriteAheadLog, encode_frame
 
 __all__ = [
     "AggregationService",
@@ -210,6 +213,9 @@ class AggregationService:
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
         self.data_dir = Path(config.data_dir)
+        # The node's one record store: the accumulator, ring, tenant
+        # counters and dedup ledger below are folded from it, and
+        # _rebuild() recomputes them all from it.
         self.wal = WriteAheadLog(self.data_dir / "wal.log", fsync=config.wal_fsync)
         # The node's one accumulator; its seed draws the published hash
         # pairs.  The checkpoint must not reuse the ``shard-N.ckpt`` names
@@ -228,9 +234,6 @@ class AggregationService:
         # Entries ride inside WAL records ("idem" field), so the ledger is
         # WAL-durable for free — start() rebuilds it during replay.
         self._dedup: "OrderedDict[Tuple[str, str], dict]" = OrderedDict()
-        # Replayable record history, in sequence order; replication ships
-        # (and re-ships, on standby gaps) frames straight from this list.
-        self._records: List[dict] = []
         # Temporal ring (None when epoch_interval is 0).  Not checkpointed:
         # epochs are a pure function of WAL sequence numbers, so start()
         # rebuilds the identical ring by replaying every record through
@@ -257,8 +260,25 @@ class AggregationService:
         torn WAL tails are truncated, a corrupt checkpoint downgrades to
         a cold start (``cold_start`` names the reason), and every intact
         WAL record at or past the checkpoint cursor is re-folded with its
-        original derived seed.
+        original derived seed.  Replay runs outside the retry policy: a
+        fault that kills it kills the start, and restarting is the retry.
         """
+        self.recovery = self._rebuild()
+        self._started = True
+        return self.recovery
+
+    def _rebuild(self) -> dict:
+        """Reset the node and rebuild it from the WAL; the recovery summary.
+
+        The one rebuild path: :meth:`start` runs it, and so does a
+        replicated node's divergence rewind after cutting its WAL.  It
+        starts from empty state (same hash pairs), so re-running it after
+        a fault is clean.
+        """
+        self._session = JoinSession(self.config.params, pairs=self._session.pairs)
+        self._reset_temporal()
+        self.tenants = {}
+        self._dedup.clear()
         records, tear = self.wal.recover()
         if tear is not None:
             # Typed downgrade: a torn tail is an expected crash artefact,
@@ -280,9 +300,10 @@ class AggregationService:
         if state is not None:
             partial, cursor = state
             # A checkpoint ahead of the WAL can only happen under fsync
-            # policies weaker than the checkpoint's; the WAL is the
-            # acknowledgement boundary, so it wins: drop the checkpoint
-            # and re-fold from the log.
+            # policies weaker than the checkpoint's, or after a rewind
+            # cut the WAL beneath it; the WAL is the acknowledgement
+            # boundary, so it wins: drop the checkpoint and re-fold from
+            # the log.
             if cursor > len(records):
                 cold_start = (
                     f"checkpoint cursor {cursor} ahead of the "
@@ -293,7 +314,6 @@ class AggregationService:
                 self._session.merge(partial)
         for sequence, record in enumerate(records):
             self._count_tenant(record)
-            self._records.append(dict(record))
             self._remember_ack(record, sequence)
             if sequence < cursor:
                 # Already inside the checkpoint — but the temporal ring
@@ -304,14 +324,12 @@ class AggregationService:
             self._fold(record, sequence)
         self._folded = len(records)
         self._last_checkpoint = cursor
-        self._started = True
-        self.recovery = {
+        return {
             "wal_records": len(records),
             "replayed": len(records) - cursor,
             "torn_tail": None if tear is None else tear.to_dict(),
             "cold_start": cold_start,
         }
-        return self.recovery
 
     def flush(self) -> None:
         """Durability barrier: fsync the WAL, checkpoint the session."""
@@ -379,12 +397,16 @@ class AggregationService:
                 ack["deduplicated"] = True
                 return ack
         record = self._validate_batch(tenant, stream, values, attribute)
+        if len(record["values"]) > self.config.max_batch_reports:
+            raise ParameterError(
+                f"batch holds {len(record['values'])} reports, over the "
+                f"{self.config.max_batch_reports}-report admission cap; split it"
+            )
         if idempotency_key is not None:
             record["idem"] = idempotency_key
-        sequence = self.wal.append(record)
+        sequence = self.wal.append(encode_frame(record))
         self._folded = sequence + 1
         self._count_tenant(record)
-        self._records.append(record)
         ack = self._remember_ack(record, sequence)
         self._retry.call(
             lambda: self._fold(record, sequence),
@@ -398,6 +420,11 @@ class AggregationService:
     def _validate_batch(
         self, tenant: str, stream: str, values: Sequence[int], attribute: int
     ) -> dict:
+        """The WAL record of one batch, or ParameterError if it cannot fold.
+
+        Both write paths run it before their WAL append: :meth:`ingest`
+        on a client's batch, and a standby on every shipped record.
+        """
         # '/' namespaces a tenant's streams in the session; '#' and '@'
         # are the ledger's cohort (``A#2``) and merge (``g@partial1``)
         # suffixes, so a name holding one could collide with a generated
@@ -433,11 +460,6 @@ class AggregationService:
             raise ParameterError(
                 f"batch values must be a non-empty 1-D sequence, got shape "
                 f"{array.shape}"
-            )
-        if array.size > self.config.max_batch_reports:
-            raise ParameterError(
-                f"batch holds {array.size} reports, over the "
-                f"{self.config.max_batch_reports}-report admission cap; split it"
             )
         try:
             check_domain(array)

@@ -4,35 +4,40 @@
 :class:`~repro.service.core.AggregationService` with a replication layer
 whose whole design leans on one fact: the engine is a *pure function of
 the WAL*.  The primary therefore ships nothing cleverer than its own WAL
-frames — the exact crc32-framed bytes :func:`repro.service.wal.encode_frame`
-produced — and a standby applies each record through the very same
-``append → fold → checkpoint`` path ingest uses.  Two nodes that agree
-on the record sequence are byte-identical: same WAL, same accumulators,
-same published snapshot digest.  That is the headline chaos property,
-and it is why failover needs no state transfer — the survivor already
-*is* the primary, minus a name.
+frames — the exact crc32-framed bytes it appended, read back from the
+log with :meth:`~repro.service.wal.WriteAheadLog.frame` — and a standby
+appends those bytes unchanged, then folds the record through the very
+same ``append → fold → checkpoint`` path ingest uses.  Two nodes that
+agree on the record sequence are byte-identical: same WAL, same
+accumulators, same published snapshot digest.  That is the headline
+chaos property, and it is why failover needs no state transfer — the
+survivor already *is* the primary, minus a name.
 
 Protocol, frame by frame::
 
     primary                             standby
     ingest(batch)
-      wal.append(record)    ──ack boundary
+      frame = encode_frame(record)
+      wal.append(frame)     ──ack boundary
       fold into session
-      ship {epoch, seq, frame} ───────▶ apply_replication(payload)
+      ship {epoch, seq, wal.frame(seq)} ▶ apply_replication(payload)
                                           epoch checks (fencing)
+                                          crc + record checks
                                           seq == wal length? append+fold
-                                          seq <  length, bytes match?
-                                                              duplicate ack
+                                          seq <  length, same bytes as
+                                            wal.frame(seq)?   duplicate ack
                                           seq <  length, bytes differ?
                                                               truncate fork,
+                                                              rebuild,
                                                               append+fold
                                           seq >  length?      ReplicaGapError
       quorum reached? ack client ◀────── {applied: true, ...}
 
 A standby that missed frames answers with the sequence it needs next
 (:class:`~repro.errors.ReplicaGapError`); the primary rewinds that
-link's cursor and re-ships — catch-up is the steady-state protocol run
-in a loop, not a separate code path.
+link's cursor and re-ships frames read back from its WAL — catch-up is
+the steady-state protocol run in a loop, not a separate code path, and
+no node keeps its records in memory to serve it.
 
 **Fencing.**  Failover is driven by the monotonic *fencing epoch*
 persisted in the WAL header (:meth:`~repro.service.wal.WriteAheadLog.set_epoch`).
@@ -46,13 +51,14 @@ never acknowledge.  Split brain is prevented by arithmetic, not timing.
 **Divergence repair.**  A zombie that appended (and folded) a record
 locally before learning it was fenced holds a *forked* suffix: same
 sequence numbers, different bytes.  Re-shipped frames from the new
-primary byte-compare against the local record before any duplicate
-ack; a mismatch truncates the fork (WAL first, fsynced, then an
-in-memory re-fold of the kept prefix) and applies the primary's frame
-in its place — the fencing check already proved the sender's history
-authoritative.  Symmetrically, a standby claiming to be *ahead* of the
-primary's WAL head raises :class:`~repro.errors.ReplicaDivergenceError`
-on the primary instead of silently counting toward quorum.
+primary byte-compare against the frame in the local WAL before any
+duplicate ack; a mismatch truncates the fork (WAL first, fsynced, then
+the node rebuilds through the same recovery :meth:`start` runs) and
+applies the primary's frame in its place — the fencing check already
+proved the sender's history authoritative.  Symmetrically, a standby
+claiming to be *ahead* of the primary's WAL head raises
+:class:`~repro.errors.ReplicaDivergenceError` on the primary instead of
+silently counting toward quorum.
 
 **Exactly-once interplay.**  Quorum failures surface *after* the local
 WAL append, so the batch is durable but under-replicated.  The client
@@ -77,7 +83,6 @@ import json
 import logging
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..api.session import JoinSession
 from ..errors import (
     FencedEpochError,
     InjectedCrashError,
@@ -92,7 +97,7 @@ from ..errors import (
 )
 from ..reliability.faults import fault_point
 from .core import AggregationService, ServiceConfig
-from .wal import decode_frame, encode_frame
+from .wal import decode_frame
 
 __all__ = [
     "ReplicatedService",
@@ -334,7 +339,7 @@ class ReplicatedService(AggregationService):
     # Primary side: shipping
     # ------------------------------------------------------------------
     def _frame_payload(self, sequence: int) -> dict:
-        frame = encode_frame(self._records[sequence])
+        frame = self.wal.frame(sequence)
         return {
             "epoch": int(self.wal.epoch),
             "sequence": int(sequence),
@@ -387,7 +392,7 @@ class ReplicatedService(AggregationService):
         """Advance one link's cursor to the WAL head (gap-healing loop)."""
         cursor = self._cursors.get(index, 0)
         rewinds = 0
-        while cursor < len(self._records):
+        while cursor < len(self.wal):
             payload = self._frame_payload(cursor)
             spec = fault_point(
                 "service.replicate.send",
@@ -399,16 +404,16 @@ class ReplicatedService(AggregationService):
             try:
                 link.replicate(payload)
             except ReplicaGapError as error:
-                if error.expected > len(self._records):
+                if error.expected > len(self.wal):
                     # The standby claims records past our WAL head: its
                     # history forked ahead of ours.  Counting the link
                     # as caught up would quorum-ack writes nobody
                     # shares; surface the fork instead.
                     raise ReplicaDivergenceError(
-                        len(self._records),
+                        len(self.wal),
                         f"standby {link.name} expects sequence "
                         f"{error.expected} but this primary's WAL ends "
-                        f"at {len(self._records)}",
+                        f"at {len(self.wal)}",
                     ) from error
                 # The standby told us where it actually is; trust it —
                 # backwards (it lost frames) or forwards (it already has
@@ -441,10 +446,12 @@ class ReplicatedService(AggregationService):
         Validation order is deliberate: fencing first (a stale sender
         must learn it is a zombie even when its frame is damaged or
         out of order), then frame integrity (crc inside the frame — a
-        torn shipment is rejected *before* any state changes), then
-        sequencing.  The apply path is byte-for-byte the ingest path:
-        ``wal.append`` of the identical frame, the same derived fold
-        seed, the same checkpoint cadence — which is the whole theorem.
+        torn shipment is rejected *before* any state changes) and the
+        record checks ingest makes before its append (a record that
+        cannot fold would fail every replay), then sequencing.  The
+        apply path is byte-for-byte the ingest path: ``wal.append`` of
+        the received frame bytes, the same derived fold seed, the same
+        checkpoint cadence — which is the whole theorem.
         """
         self._require_started()
         try:
@@ -463,6 +470,14 @@ class ReplicatedService(AggregationService):
         if spec is not None and spec.kind in ("torn-write", "corrupt"):
             frame = base64.b64decode(self._damage(payload["frame"], spec.kind))
         record = decode_frame(frame)  # crc-validated; ParameterError on damage
+        # The primary's checks (names, attribute, integer values, domain)
+        # but not its admission cap, which is a client policy.
+        self._validate_batch(
+            record.get("tenant"),
+            record.get("stream"),
+            record.get("values"),
+            record.get("attribute"),
+        )
         if epoch > self.wal.epoch:
             # A newer primary speaks: adopt its epoch (fsynced into the
             # WAL header) and, if we thought we led, stand down.
@@ -481,7 +496,7 @@ class ReplicatedService(AggregationService):
             )
         expected = self._folded
         if sequence < expected:
-            if encode_frame(self._records[sequence]) == frame:
+            if self.wal.frame(sequence) == frame:
                 return {
                     "applied": False,
                     "duplicate": True,
@@ -504,10 +519,9 @@ class ReplicatedService(AggregationService):
             expected = self._folded
         if sequence > expected:
             raise ReplicaGapError(expected, sequence)
-        applied = self.wal.append(record)
+        applied = self.wal.append(frame)
         self._folded = applied + 1
         self._count_tenant(record)
-        self._records.append(dict(record))
         self._remember_ack(record, applied)
         self._retry.call(
             lambda: self._fold(record, applied),
@@ -523,36 +537,22 @@ class ReplicatedService(AggregationService):
         }
 
     def _rewind_to(self, sequence: int) -> None:
-        """Drop every record at/after ``sequence``; rebuild by re-fold.
+        """Drop every record at/after ``sequence``; rebuild through recovery.
 
         The WAL is truncated first (fsynced) so a crash mid-rebuild
-        recovers the same shortened history; the accumulator, tenant
-        counters, the dedup ledger and the record list are then rebuilt
-        from the kept prefix — a fold is a pure function of ``(record,
-        sequence)``, so the rebuilt state is byte-identical to a node
-        that never held the fork.  The checkpoint is reflushed at the end
-        so no on-disk cursor outlives the truncation, and a published
-        snapshot that included dropped records is withdrawn.
+        recovers the same shortened history.  The node then rebuilds
+        through the same recovery :meth:`start` runs, under the retry
+        policy: it resets the accumulator, ring, tenant counters and
+        dedup ledger, and re-folds the kept prefix — from the checkpoint
+        when its cursor is at or before the cut, else from the first
+        record.  A fold is a pure function of ``(record, sequence)``, so
+        the rebuilt state is byte-identical to a node that never held
+        the fork.  A published snapshot that included dropped records is
+        withdrawn, and the checkpoint is reflushed so no on-disk cursor
+        outlives the truncation.
         """
-        keep = [dict(record) for record in self._records[:sequence]]
         self.wal.truncate_to(sequence)
-        self._session = JoinSession(self.config.params, pairs=self._session.pairs)
-        self._reset_temporal()
-        self.tenants = {}
-        self._dedup.clear()
-        self._records = []
-        self._folded = 0
-        for position, record in enumerate(keep):
-            self._count_tenant(record)
-            self._records.append(record)
-            self._remember_ack(record, position)
-            self._retry.call(
-                lambda record=record, position=position: self._fold(
-                    record, position
-                ),
-                operation=f"service.rewind[{position}]",
-            )
-        self._folded = len(keep)
+        self._retry.call(self._rebuild, operation="service.rewind")
         if self._snapshot is not None and self._snapshot.wal_records > sequence:
             self._snapshot = None
         self.flush()

@@ -7,6 +7,14 @@ log replays in order; per-batch randomness is derived from the record's
 *sequence number* (see :func:`repro.service.core.batch_seed`), so the
 replayed fold is byte-identical to the fold the dying process performed.
 
+The log is the node's only record store.  :meth:`WriteAheadLog.append`
+takes a frame already built by :func:`encode_frame` (the primary builds
+each frame once; a standby appends the bytes it was shipped), and the
+log keeps an index of every intact frame's byte offset, so
+:meth:`WriteAheadLog.frame` reads any record's stored bytes back for
+replication shipping, catch-up and duplicate checks, and
+:meth:`WriteAheadLog.truncate_to` cuts at an indexed offset.
+
 File format (little-endian)::
 
     +------+---------+------------+
@@ -64,7 +72,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, List, Mapping, Optional, Tuple, Union
 
 from ..errors import InjectedCrashError, ParameterError
 from ..reliability.faults import fault_point
@@ -99,11 +107,11 @@ _MAX_FRAME_BYTES = 256 * 1024 * 1024
 def encode_frame(record: Mapping[str, Any]) -> bytes:
     """The crc32-framed bytes of one record, exactly as appended.
 
-    Framing is a pure function of the record (canonical JSON), so a
-    frame built on the primary and a frame appended by a standby that
-    applied the shipped record are byte-identical — which is what lets
-    the replication layer ship *frames* and still keep both WALs (and
-    hence both snapshot digests) in lockstep.
+    Framing is a pure function of the record (canonical JSON).  The
+    primary builds each record's frame once, at ingest; the WAL stores
+    those bytes, replication ships and re-ships them as stored, and a
+    standby appends them as received — so both WALs (and hence both
+    snapshot digests) stay in lockstep without a second encode.
     """
     payload = json.dumps(dict(record), sort_keys=True, separators=(",", ":")).encode(
         "utf-8"
@@ -170,7 +178,7 @@ class WriteAheadLog:
 
     Construction does not touch the file; call :meth:`recover` (which
     creates it when absent) before the first :meth:`append` so the
-    in-memory sequence counter agrees with the bytes on disk.
+    in-memory frame index agrees with the bytes on disk.
     """
 
     def __init__(self, path: Union[str, Path], *, fsync: str = "always") -> None:
@@ -181,8 +189,9 @@ class WriteAheadLog:
         self.path = Path(path)
         self.fsync = fsync
         self._file = None
-        self._sequence = 0  # records currently in the file
-        self._recovered = False
+        # Byte offset of every intact frame plus the end of the last one
+        # (empty until recover(); the record count is one less).
+        self._offsets: List[int] = []
         self._epoch = 0  # fencing epoch from the file header
 
     # ------------------------------------------------------------------
@@ -190,35 +199,37 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def _scan(
         self, data: bytes, *, base: int = 0
-    ) -> Tuple[List[dict], int, Optional[WalTear]]:
+    ) -> Tuple[List[dict], List[int], Optional[WalTear]]:
         """Parse frame ``data`` into records; stop at the first damaged frame.
 
         ``base`` is the file offset where ``data`` starts (the header
         size for a v2 file), so tear offsets name absolute positions an
-        operator can seek to.  The returned good offset is absolute too.
+        operator can seek to.  The returned offsets are absolute too:
+        the start of every intact frame, then the end of the last one.
         """
         records: List[dict] = []
+        offsets = [base]
         offset = 0
         total = len(data)
         while offset < total:
             head = offset
             if total - offset < len(_MAGIC) + _HEADER.size:
-                return records, base + head, WalTear(
+                return records, offsets, WalTear(
                     base + head, total - head, "truncated frame header"
                 )
             if data[offset : offset + 2] != _MAGIC:
-                return records, base + head, WalTear(
+                return records, offsets, WalTear(
                     base + head, total - head, "bad frame magic"
                 )
             offset += 2
             length, crc = _HEADER.unpack_from(data, offset)
             offset += _HEADER.size
             if length > _MAX_FRAME_BYTES:
-                return records, base + head, WalTear(
+                return records, offsets, WalTear(
                     base + head, total - head, f"implausible frame length {length}"
                 )
             if total - offset < length:
-                return records, base + head, WalTear(
+                return records, offsets, WalTear(
                     base + head,
                     total - head,
                     f"truncated payload ({total - offset} of {length} bytes)",
@@ -226,17 +237,18 @@ class WriteAheadLog:
             payload = data[offset : offset + length]
             offset += length
             if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                return records, base + head, WalTear(
+                return records, offsets, WalTear(
                     base + head, total - head, "payload crc32 mismatch"
                 )
             try:
                 record = json.loads(payload.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                return records, base + head, WalTear(
+                return records, offsets, WalTear(
                     base + head, total - head, f"payload not valid JSON ({error})"
                 )
             records.append(record)
-        return records, base + offset, None
+            offsets.append(base + offset)
+        return records, offsets, None
 
     def recover(self, *, truncate: bool = True) -> Tuple[List[dict], Optional[WalTear]]:
         """Replay every intact record; optionally trim a damaged tail.
@@ -245,8 +257,11 @@ class WriteAheadLog:
         clean log.  With ``truncate=True`` (default) the file is cut
         back to the last intact frame so :meth:`append` continues from a
         clean boundary; a tear holds at most never-acknowledged data, so
-        trimming is safe.  Also (re)initialises the sequence counter —
-        call this once before the first append.
+        trimming is safe.  The file then holds the 16-byte header and the
+        intact frames, whose offsets (re)build the frame index — call
+        this once before the first append.  A damaged tail kept with
+        ``truncate=False`` leaves the log for reading only:
+        :meth:`append` refuses to write past it.
         """
         self.close()
         if self.path.exists():
@@ -281,11 +296,12 @@ class WriteAheadLog:
             # before fencing epochs existed; both migrate to v2 below.
             frames, base = data, 0
             legacy = len(data) > 0
-        records, good_offset, tear = self._scan(frames, base=base)
+        records, offsets, tear = self._scan(frames, base=base)
         if header_tear is not None:
             tear = header_tear
         self._epoch = int(epoch)
         header = _FILE_HEADER.pack(_FILE_MAGIC, _WAL_VERSION, self._epoch)
+        good_offset = offsets[-1]
         if legacy or (header_tear is not None and truncate):
             # One-time migration (or torn-header reinit): rewrite as
             # header + intact frames via the atomic temp + replace
@@ -309,8 +325,8 @@ class WriteAheadLog:
                 fh.truncate(good_offset)
                 fh.flush()
                 os.fsync(fh.fileno())
-        self._sequence = len(records)
-        self._recovered = True
+        # In every branch the intact frames sit right after the header.
+        self._offsets = [offset - base + _FILE_HEADER.size for offset in offsets]
         return records, tear
 
     def _fsync_parent(self) -> None:
@@ -321,43 +337,51 @@ class WriteAheadLog:
         finally:
             os.close(fd)
 
-    def replay(self) -> Iterator[Tuple[int, dict]]:
-        """``(sequence, record)`` pairs of every intact frame on disk."""
-        if self.path.exists():
-            data = self.path.read_bytes()
-            if data[:4] == _FILE_MAGIC:
-                data = data[_FILE_HEADER.size :]
-            records, _, _ = self._scan(data)
-            yield from enumerate(records)
+    def frame(self, sequence: int) -> bytes:
+        """The stored bytes of record ``sequence``, exactly as appended."""
+        if not 0 <= sequence < len(self):
+            raise ParameterError(
+                f"WAL {self.path} holds {len(self)} record(s); no frame at "
+                f"sequence {sequence}"
+            )
+        start, end = self._offsets[sequence], self._offsets[sequence + 1]
+        return os.pread(self._handle().fileno(), end - start, start)
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
+    def _require_recovered(self, before: str) -> None:
+        if not self._offsets:
+            raise ParameterError(
+                f"WAL {self.path} used before recover(); call recover() before "
+                f"{before} so the frame index matches the bytes on disk"
+            )
+
     def _handle(self):
+        """The read/append handle (appends always land at the file end)."""
         if self._file is None:
-            if not self._recovered:
-                raise ParameterError(
-                    f"WAL {self.path} used before recover(); call recover() so "
-                    f"the sequence counter matches the bytes on disk"
-                )
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = open(self.path, "ab")
+            self._require_recovered("reading or appending")
+            self._file = open(self.path, "a+b")
         return self._file
 
-    def append(self, record: Mapping[str, Any]) -> int:
-        """Durably append one record; returns its sequence number.
+    def append(self, frame: bytes) -> int:
+        """Durably append one :func:`encode_frame` frame; returns its sequence.
 
         The returned sequence is the record's replay position (0-based)
         — the same number :func:`repro.service.core.batch_seed` derives
         the batch randomness from, which is what makes replay
         byte-identical.
         """
-        frame = encode_frame(record)
-        sequence = self._sequence
+        fh = self._handle()
+        sequence = len(self)
+        if fh.tell() != self._offsets[-1]:
+            raise ParameterError(
+                f"WAL {self.path} holds bytes past its last intact frame; "
+                f"recover() with truncate=True before appending"
+            )
         spec = fault_point(
             "service.wal.append", sequence=sequence, bytes=len(frame)
         )
-        fh = self._handle()
         if spec is not None and spec.kind in ("torn-write", "corrupt"):
             if spec.kind == "torn-write":
                 damaged = frame[: max(1, len(frame) // 2)]
@@ -377,7 +401,7 @@ class WriteAheadLog:
         fh.flush()
         if self.fsync == "always":
             os.fsync(fh.fileno())
-        self._sequence += 1
+        self._offsets.append(self._offsets[-1] + len(frame))
         return sequence
 
     def sync(self) -> None:
@@ -393,33 +417,25 @@ class WriteAheadLog:
         a demoted node whose un-replicated suffix conflicts with the
         promoted primary's history drops that suffix here, then applies
         the primary's frames from the cut.  Only ever shortens the log;
-        the truncation is fsynced before returning so a crash cannot
-        resurrect the dropped fork.
+        the cut lands at the indexed start of frame ``records`` and is
+        fsynced before returning so a crash cannot resurrect the dropped
+        fork.
         """
-        if not self._recovered:
-            raise ParameterError(
-                f"WAL {self.path} used before recover(); call recover() before "
-                f"truncate_to() so frame boundaries are known"
-            )
+        self._require_recovered("truncate_to()")
         records = int(records)
-        if records < 0 or records > self._sequence:
+        if records < 0 or records > len(self):
             raise ParameterError(
-                f"cannot truncate a {self._sequence}-record WAL to "
+                f"cannot truncate a {len(self)}-record WAL to "
                 f"{records} record(s)"
             )
-        if records == self._sequence:
-            return self._sequence
+        if records == len(self):
+            return records
         self.close()  # flush the append handle before cutting beneath it
-        data = self.path.read_bytes()
-        offset = _FILE_HEADER.size if data[:4] == _FILE_MAGIC else 0
-        for _ in range(records):
-            length, _crc = _HEADER.unpack_from(data, offset + len(_MAGIC))
-            offset += len(_MAGIC) + _HEADER.size + length
         with open(self.path, "r+b") as fh:
-            fh.truncate(offset)
+            fh.truncate(self._offsets[records])
             fh.flush()
             os.fsync(fh.fileno())
-        self._sequence = records
+        del self._offsets[records + 1 :]
         return records
 
     # ------------------------------------------------------------------
@@ -439,11 +455,7 @@ class WriteAheadLog:
         power cut is exactly the split-brain the epoch exists to stop.
         Lowering the epoch is refused with a typed error.
         """
-        if not self._recovered:
-            raise ParameterError(
-                f"WAL {self.path} used before recover(); call recover() before "
-                f"set_epoch() so the header exists on disk"
-            )
+        self._require_recovered("set_epoch()")
         epoch = int(epoch)
         if epoch < self._epoch:
             raise ParameterError(
@@ -462,8 +474,8 @@ class WriteAheadLog:
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        """Records appended (valid only after :meth:`recover`)."""
-        return self._sequence
+        """Records in the log (0 before :meth:`recover`)."""
+        return max(len(self._offsets) - 1, 0)
 
     def size_bytes(self) -> int:
         """Current on-disk size of the log."""
@@ -480,5 +492,5 @@ class WriteAheadLog:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"WriteAheadLog(path={str(self.path)!r}, fsync={self.fsync!r}, "
-            f"records={self._sequence})"
+            f"records={len(self)})"
         )

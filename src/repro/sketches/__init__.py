@@ -7,23 +7,17 @@ against:
 * :class:`FastAGMSSketch` — the Fast-AGMS sketch (Cormode & Garofalakis),
   the non-private "FAGMS" baseline of the experiments and the structure
   LDPJoinSketch privatises;
-* :class:`CountMinSketch` — a standard frequency summary, used for
-  comparison and by tests;
 * :class:`CompassChainSketches` — COMPASS-style multiway chain-join
   sketches (Section VI baseline).
 """
 
-from .base import LinearSketch
 from .agms import AGMSSketch
 from .fast_agms import FastAGMSSketch
-from .count_min import CountMinSketch
 from .compass import CompassChainSketches, CompassMiddleSketch
 
 __all__ = [
-    "LinearSketch",
     "AGMSSketch",
     "FastAGMSSketch",
-    "CountMinSketch",
     "CompassChainSketches",
     "CompassMiddleSketch",
 ]

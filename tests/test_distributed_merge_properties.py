@@ -196,6 +196,31 @@ class TestPlusWideDomainInvariance:
             assert _deterministic_fields(tree) == _deterministic_fields(serial)
 
 
+class TestHashRouting:
+    """The hash strategy spreads even a small domain over every shard."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("num_shards", [2, 3, 4, 8])
+    def test_small_domains_reach_every_shard(self, n, num_shards):
+        owners = ShardPlanner(num_shards, strategy="hash").shard_of(np.arange(n))
+        counts = np.bincount(owners, minlength=num_shards)
+        assert counts.min() >= n / (2 * num_shards), counts.tolist()
+
+    def test_plus_runs_hash_sharded_on_a_small_domain(self):
+        domain = 256
+        small = JoinInstance(
+            name="small-zipf",
+            values_a=zipf_values(N, domain, 1.3, seed=25),
+            values_b=zipf_values(N, domain, 1.3, seed=26),
+            domain_size=domain,
+        )
+        estimator = get_estimator("ldp-join-sketch-plus", k=4, m=32)
+        result = estimate_sharded(
+            estimator, small, EPSILON, num_shards=4, seed=77, strategy="hash"
+        )
+        assert np.isfinite(result.estimate)
+
+
 class TestSessionLevelInvariance:
     """JoinSession.collect_sharded vs distributed partials, per K."""
 

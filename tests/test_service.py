@@ -17,6 +17,7 @@ import gc
 import json
 import struct
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -42,6 +43,7 @@ from repro.service import (
     WriteAheadLog,
 )
 from repro.service.core import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, batch_seed
+from repro.service.wal import decode_frame, encode_frame
 
 TENANT = "acme"
 
@@ -90,19 +92,19 @@ class TestWriteAheadLog:
         assert records == [] and tear is None
         payloads = [{"n": i, "values": [i, i + 1]} for i in range(3)]
         for i, record in enumerate(payloads):
-            assert wal.append(record) == i
+            assert wal.append(encode_frame(record)) == i
         assert len(wal) == 3
-        assert list(wal.replay()) == list(enumerate(payloads))
+        assert [wal.frame(i) for i in range(3)] == [encode_frame(r) for r in payloads]
         wal.close()
         reopened = WriteAheadLog(tmp_path / "wal.log")
         records, tear = reopened.recover()
         assert records == payloads and tear is None
-        assert reopened.append({"n": 3}) == 3
+        assert reopened.append(encode_frame({"n": 3})) == 3
 
     def test_append_before_recover_raises(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log")
         with pytest.raises(ParameterError, match="recover"):
-            wal.append({"n": 0})
+            wal.append(encode_frame({"n": 0}))
 
     def test_bad_fsync_policy_rejected(self, tmp_path):
         with pytest.raises(ParameterError, match="fsync"):
@@ -114,7 +116,7 @@ class TestWriteAheadLog:
         wal.recover()
         records = [{"n": i} for i in range(n)]
         for record in records:
-            wal.append(record)
+            wal.append(encode_frame(record))
         wal.close()
         return records
 
@@ -132,7 +134,7 @@ class TestWriteAheadLog:
         assert tear is not None and "truncated payload" in tear.reason
         assert tear.offset == clean_size
         assert path.stat().st_size == clean_size  # tail trimmed
-        assert wal.append({"n": len(records)}) == len(records)
+        assert wal.append(encode_frame({"n": len(records)})) == len(records)
 
     def test_crc_mismatch_stops_replay(self, tmp_path):
         path = tmp_path / "wal.log"
@@ -184,13 +186,71 @@ class TestWriteAheadLog:
         )
         with injected(plan):
             with pytest.raises(InjectedCrashError):
-                wal.append({"n": 99})
+                wal.append(encode_frame({"n": 99}))
         wal.close()
         # The restart path: damage is on disk, recovery trims it away and
         # the record was never acknowledged, so dropping it is correct.
         recovered, tear = WriteAheadLog(path).recover()
         assert recovered == records
         assert tear is not None
+
+    @pytest.mark.parametrize(
+        "step", ["append", "reopen", "truncate_to", "v1-migration", "torn-tail"]
+    )
+    def test_frame_reads_back_the_appended_bytes(self, tmp_path, step):
+        """The frame index stays exact through every way the file changes."""
+        path = tmp_path / "wal.log"
+        records = [{"n": i, "values": list(range(i + 1))} for i in range(5)]
+        wal = WriteAheadLog(path)
+        if step == "v1-migration":
+            # A headerless v1 file: frames only, rewritten behind a header.
+            path.write_bytes(b"".join(encode_frame(r) for r in records))
+            wal.recover()
+        else:
+            wal.recover()
+            for record in records:
+                wal.append(encode_frame(record))
+        if step == "reopen":
+            wal.close()
+            wal = WriteAheadLog(path)
+            wal.recover()
+        elif step == "truncate_to":
+            assert wal.truncate_to(3) == 3
+            records = records[:3]
+        elif step == "torn-tail":
+            wal.close()
+            with open(path, "ab") as fh:
+                fh.write(encode_frame({"n": 99})[:7])
+            wal = WriteAheadLog(path)
+            assert wal.recover()[1] is not None
+        assert [wal.frame(i) for i in range(len(wal))] == [
+            encode_frame(r) for r in records
+        ]
+        extra = encode_frame({"n": "appended after the step"})
+        assert wal.append(extra) == len(records)
+        assert wal.frame(len(records)) == extra
+        with pytest.raises(ParameterError, match="no frame"):
+            wal.frame(len(records) + 1)
+        wal.close()
+        again = WriteAheadLog(path)
+        assert again.recover() == (records + [decode_frame(extra)], None)
+        assert again.frame(len(records)) == extra
+        again.close()
+
+    def test_append_refused_past_a_kept_tear(self, tmp_path):
+        """recover(truncate=False) keeps damage on disk; appends would land
+        behind it and be lost to the next recovery, so they are refused."""
+        path = tmp_path / "wal.log"
+        records = self._filled_wal(path)
+        with open(path, "ab") as fh:
+            fh.write(b"garbage")
+        wal = WriteAheadLog(path)
+        _, tear = wal.recover(truncate=False)
+        assert tear is not None
+        assert wal.frame(len(records) - 1) == encode_frame(records[-1])
+        with pytest.raises(ParameterError, match="past its last intact frame"):
+            wal.append(encode_frame({"n": 99}))
+        wal.close()
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +614,30 @@ class TestAggregationService:
         restarted.publish()
         assert restarted.snapshot.digest == reference
         restarted.close()
+
+    def test_ingest_holds_no_heap_per_report(self, tmp_path):
+        """The WAL is the only record store: ingest keeps no record in memory."""
+        service = AggregationService(
+            make_config(tmp_path, wal_fsync="never", checkpoint_interval=32)
+        )
+        service.start()
+        rng = np.random.default_rng(5)
+        batches = [rng.integers(0, 1024, size=2048) for _ in range(8)]
+        for index, values in enumerate(batches):  # warm every code path
+            service.ingest(TENANT, "AB"[index % 2], values)
+        num_batches = 128
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(num_batches):
+                service.ingest(TENANT, "AB"[index % 2], batches[index % len(batches)])
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        service.close()
+        assert held / (num_batches * 2048) < 4.0
 
 
 # ---------------------------------------------------------------------------

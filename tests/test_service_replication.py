@@ -24,6 +24,7 @@ single-node run*:
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import logging
 import os
@@ -59,7 +60,9 @@ from repro.service import (
     ReplicaLink,
     ReplicatedService,
     ResilientClient,
+    ServerConfig,
     ServiceConfig,
+    ServiceServer,
     WriteAheadLog,
 )
 from repro.service.wal import decode_frame, encode_frame
@@ -135,9 +138,9 @@ class TestWalEpochHeader:
     def test_set_epoch_persists_across_reopen(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log")
         wal.recover()
-        wal.append({"n": 1})
+        wal.append(encode_frame({"n": 1}))
         assert wal.set_epoch(3) == 3
-        wal.append({"n": 2})
+        wal.append(encode_frame({"n": 2}))
         wal.close()
         again = WriteAheadLog(tmp_path / "wal.log")
         records, tear = again.recover()
@@ -168,7 +171,7 @@ class TestWalEpochHeader:
         records, tear = wal.recover()
         assert records == legacy and tear is None
         assert wal.epoch == 0
-        wal.append({"n": 99})
+        wal.append(encode_frame({"n": 99}))
         wal.close()
         # After migration the file is a v2 file: reopen reads the header.
         again = WriteAheadLog(path)
@@ -189,7 +192,7 @@ class TestWalEpochHeader:
         records, tear = wal.recover()
         assert records == [] and wal.epoch == 0
         assert tear is not None and "file header" in tear.reason
-        wal.append({"n": 1})  # the reinitialised file accepts appends
+        wal.append(encode_frame({"n": 1}))  # the reinitialised file accepts appends
         wal.close()
         again = WriteAheadLog(path)
         records, tear = again.recover()
@@ -200,11 +203,11 @@ class TestWalEpochHeader:
         wal = WriteAheadLog(tmp_path / "wal.log")
         wal.recover()
         for n in range(5):
-            wal.append({"n": n})
+            wal.append(encode_frame({"n": n}))
         wal.set_epoch(2)
         assert wal.truncate_to(3) == 3
         assert len(wal) == 3
-        wal.append({"n": 99})
+        wal.append(encode_frame({"n": 99}))
         wal.close()
         again = WriteAheadLog(tmp_path / "wal.log")
         records, tear = again.recover()
@@ -429,6 +432,32 @@ class TestReplicationProtocol:
         primary.close()
         standby.close()
 
+    def test_each_record_is_framed_once(self, tmp_path, monkeypatch):
+        """The primary ships the frame it appended; the standby appends
+        the bytes it received.  Every binding of ``encode_frame`` in the
+        package is counted, so a second encode anywhere shows up."""
+        original = encode_frame
+        calls = []
+
+        def counting(record):
+            calls.append(record)
+            return original(record)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and (
+                getattr(module, "encode_frame", None) is original
+            ):
+                monkeypatch.setattr(module, "encode_frame", counting)
+        primary, standby = make_pair(tmp_path)
+        for index, (tenant, stream, values) in enumerate(BATCHES):
+            primary.ingest(tenant, stream, values, idempotency_key=f"once{index}")
+        assert len(calls) == len(BATCHES)
+        assert [standby.wal.frame(i) for i in range(len(BATCHES))] == [
+            primary.wal.frame(i) for i in range(len(BATCHES))
+        ]
+        primary.close()
+        standby.close()
+
     def test_torn_frame_is_rejected_by_crc(self, tmp_path):
         primary, standby = make_pair(tmp_path)
         primary.ingest(TENANT, "A", [1], idempotency_key="t0")
@@ -551,7 +580,7 @@ class TestDivergenceRepair:
         # a sequence-only duplicate ack here would lose the acked write.
         assert a.role == "standby"
         assert a.status()["wal_sequence"] == 4
-        assert encode_frame(a._records[3]) == encode_frame(b._records[3])
+        assert a.wal.frame(3) == b.wal.frame(3)
         assert (TENANT, "forked") not in a._dedup  # the fork's key died too
         assert a.publish()["digest"] == b.publish()["digest"]
         # The truncation is durable: a restart replays the healed history.
@@ -560,6 +589,40 @@ class TestDivergenceRepair:
         reborn.start()
         assert reborn.publish()["digest"] == b.publish()["digest"]
         reborn.close()
+        b.close()
+
+    @pytest.mark.parametrize("checkpoint_interval", [3, 4])
+    def test_rewound_wal_is_byte_identical_to_the_primary(
+        self, tmp_path, checkpoint_interval
+    ):
+        """The rewind rebuilds through recovery: from the checkpoint when
+        its cursor is at or before the cut (interval 3), from the first
+        record when the fork's own flush put it past the cut (interval 4)."""
+        overrides = dict(
+            checkpoint_interval=checkpoint_interval, epoch_interval=2, window_epochs=4
+        )
+        a = ReplicatedService(make_config(tmp_path / "a", **overrides), role="primary")
+        a.start()
+        b = ReplicatedService(make_config(tmp_path / "b", **overrides), role="standby")
+        b.start()
+        a.replicas = [LocalReplica(b, name="b")]
+        for index, (tenant, stream, values) in enumerate(BATCHES[:3]):
+            a.ingest(tenant, stream, values, idempotency_key=f"pre{index}")
+        a.replicas = []
+        a.ingest(TENANT, "A", [111], idempotency_key="forked")  # seq 3, A only
+        b.promote()
+        b.replicas = [LocalReplica(a, name="a")]
+        for index, (tenant, stream, values) in enumerate(BATCHES[3:]):
+            b.ingest(tenant, stream, values, idempotency_key=f"post{index}")
+        assert a.role == "standby" and len(a.wal) == len(BATCHES)
+        assert (tmp_path / "a" / "wal.log").read_bytes() == (
+            tmp_path / "b" / "wal.log"
+        ).read_bytes()
+        assert a.publish()["digest"] == b.publish()["digest"]
+        assert a.estimate(TENANT, "A", "B", window=3) == b.estimate(
+            TENANT, "A", "B", window=3
+        )
+        a.close()
         b.close()
 
     def test_standby_ahead_of_wal_head_fails_quorum(self, tmp_path):
@@ -595,6 +658,67 @@ class TestDivergenceRepair:
         assert excinfo.value.sequence == 1  # our WAL head, not theirs
         primary.close()
         standby.close()
+
+
+# ---------------------------------------------------------------------------
+# Shipped records pass the primary's checks before the standby appends them
+# ---------------------------------------------------------------------------
+#: Frames that pass their crc and hold a JSON object, yet no primary would
+#: append: each would fail its fold, or fold what ingest refuses.
+UNFOLDABLE_RECORDS = {
+    "out-of-domain": {"tenant": TENANT, "stream": "A", "attribute": 0, "values": [-5, 2]},
+    "missing-values": {"tenant": TENANT, "stream": "A", "attribute": 0},
+    "refused-by-primary": {"tenant": "t#x", "stream": "A", "attribute": 0, "values": [1.5]},
+}
+
+
+def _shipment(standby, record) -> dict:
+    """A well-formed, in-sequence shipment of ``record`` to ``standby``."""
+    return {
+        "epoch": standby.wal.epoch,
+        "sequence": len(standby.wal),
+        "frame": base64.b64encode(encode_frame(record)).decode("ascii"),
+    }
+
+
+class TestStandbyRecordChecks:
+    @pytest.mark.parametrize("name", sorted(UNFOLDABLE_RECORDS))
+    def test_unfoldable_record_is_refused_before_the_append(self, tmp_path, name):
+        primary, standby = make_pair(tmp_path)
+        primary.ingest(TENANT, "A", [1, 2], idempotency_key="ok")
+        digest = standby.publish()["digest"]
+        with pytest.raises(ParameterError):
+            standby.apply_replication(_shipment(standby, UNFOLDABLE_RECORDS[name]))
+        assert len(standby.wal) == 1
+        assert standby.publish()["digest"] == digest
+        primary.close()
+        standby.close()
+        reborn = ReplicatedService(make_config(tmp_path / "standby"), role="standby")
+        assert reborn.start()["wal_records"] == 1
+        assert reborn.publish()["digest"] == digest
+        reborn.close()
+
+    def test_unfoldable_records_get_400_bad_frame_over_http(self, tmp_path):
+        from .test_service import _request
+
+        standby = ReplicatedService(make_config(tmp_path / "standby"), role="standby")
+        answers = []
+
+        async def scenario():
+            server = ServiceServer(standby, ServerConfig(port=0, watchdog_interval=0.05))
+            host, port = await server.start()
+            try:
+                for record in UNFOLDABLE_RECORDS.values():
+                    status, body, _ = await _request(
+                        host, port, "POST", "/v1/replicate", _shipment(standby, record)
+                    )
+                    answers.append((status, body["error_kind"]))
+            finally:
+                await server.shutdown()
+
+        asyncio.run(scenario())
+        assert answers == [(400, "bad_frame")] * len(UNFOLDABLE_RECORDS)
+        assert len(standby.wal) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.join import FrequencyVector, exact_join_size, exact_multiway_chain_si
 from repro.sketches import (
     AGMSSketch,
     CompassChainSketches,
-    CountMinSketch,
     FastAGMSSketch,
 )
 from repro.sketches.count_mean import count_mean_frequencies
@@ -104,11 +103,12 @@ class TestFastAGMS:
             sa.inner_product(sb)
 
     def test_type_mismatch_rejected(self):
-        pairs = HashPairs(2, 8, seed=17)
-        sa = FastAGMSSketch(pairs)
-        cm = CountMinSketch(pairs)
-        with pytest.raises(IncompatibleSketchError):
-            sa.inner_product(cm)
+        sa = FastAGMSSketch(HashPairs(2, 8, seed=17))
+        agms = AGMSSketch.create(2, 8, seed=17)
+        with pytest.raises(IncompatibleSketchError, match="AGMSSketch"):
+            sa.inner_product(agms)
+        with pytest.raises(IncompatibleSketchError, match="AGMSSketch"):
+            sa.merge(agms)
 
     def test_merge_linearity(self):
         pairs = HashPairs(2, 16, seed=18)
@@ -184,35 +184,6 @@ class TestAGMS:
         sketch = AGMSSketch.create(1, 2, seed=32)
         sketch.update(5)
         assert sketch.total_weight == 1
-
-
-class TestCountMin:
-    def test_never_underestimates(self):
-        a = zipf_values(5_000, 100, 1.2, seed=33)
-        freq = FrequencyVector.from_values(a, 100)
-        sketch = CountMinSketch.create(5, 64, seed=34)
-        sketch.update_batch(a)
-        estimates = sketch.frequencies(np.arange(100))
-        assert np.all(estimates >= freq.counts - 1e-9)
-
-    def test_exact_when_no_collisions(self):
-        sketch = CountMinSketch.create(3, 1024, seed=35)
-        sketch.update_batch([7, 7, 7])
-        assert sketch.frequency(7) == 3.0
-
-    def test_heavy_hitters(self):
-        a = np.concatenate(
-            [np.full(3000, 4, dtype=np.int64), zipf_values(1000, 100, 1.0, 36)]
-        )
-        sketch = CountMinSketch.create(5, 256, seed=37)
-        sketch.update_batch(a)
-        heavy = sketch.heavy_hitters(100, threshold=2000)
-        assert 4 in heavy
-
-    def test_total_weight(self):
-        sketch = CountMinSketch.create(2, 8, seed=38)
-        sketch.update_batch([1, 2, 3])
-        assert sketch.total_weight == 3
 
 
 def _count_mean_counts(pairs, values):
