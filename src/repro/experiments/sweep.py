@@ -970,7 +970,7 @@ def window_sweep_table(
     if decay is not None:
         note += f", decay={decay[0]}/{decay[1]}"
     table.add_note(
-        f"{note}; window W tree-merges the newest W epoch partials — "
+        f"{note}; window W sums the newest W epoch partials — "
         f"byte-identical to a session that ingested only those epochs"
     )
     return table

@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-interval",
         type=int,
         default=32,
-        help="WAL records between checkpoint flushes",
+        help="WAL records between checkpoint flushes (with --epoch-interval, "
+        "a flush holds the evicted epochs; restarts re-fold the retained ones)",
     )
     parser.add_argument(
         "--wal-fsync",

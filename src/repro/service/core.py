@@ -2,7 +2,7 @@
 
 :class:`AggregationService` is the crash-safe, *synchronous* core the
 asyncio front-end (:mod:`repro.service.server`) wraps: it owns the WAL,
-one :class:`~repro.api.JoinSession` accumulator, its
+one :class:`~repro.temporal.TemporalSession` accumulator, its
 :class:`~repro.distributed.ShardCheckpoint`, and the published snapshot
 queries are answered from.  Everything here is a pure function
 of the report stream — no wall clock, no global RNG — which is what
@@ -20,12 +20,17 @@ The determinism chain, link by link:
 2.  The batch's client-simulation randomness is
     ``batch_seed(service_seed, sequence)`` — a sha256 derivation, so a
     replayed fold draws exactly the bits the dying process drew.
-3.  The checkpoint persists ``(partial, cursor)`` where the cursor is
-    the count of WAL records folded; recovery merges the checkpoint and
-    re-folds only records at or past the cursor.  A corrupt checkpoint
-    downgrades to a cold start — the WAL replays the lot.
+3.  Each record folds once, into the open epoch of the node's one
+    accumulator (epoch ``sequence // epoch_interval``; with
+    ``epoch_interval`` 0 it never rolls).  The checkpoint persists
+    ``(partial, cursor)``: epochs off, the open epoch and the count of
+    WAL records folded; epochs on, the prefix of evicted epochs and the
+    first record after it.  Recovery restores it and re-folds only
+    records at or past the cursor.  A corrupt checkpoint, or one another
+    ``epoch_interval`` wrote, downgrades to a cold start — the WAL
+    replays the lot.
 4.  :meth:`AggregationService.publish` serialises the accumulator's
-    partial (timing counters excluded) as one canonical-JSON payload;
+    summed partial (timing counters excluded) as one canonical-JSON payload;
     the snapshot *is* those bytes, the digest their sha256.  Sorted-key
     JSON makes the bytes independent of dict insertion histories.
 
@@ -51,7 +56,6 @@ import numpy as np
 from ..api.session import JoinSession
 from ..core.params import SketchParams
 from ..distributed.checkpoint import ShardCheckpoint
-from ..distributed.merge import merge_tree
 from ..errors import (
     CheckpointCorruptError,
     DomainError,
@@ -221,10 +225,12 @@ class AggregationService:
         # pairs.  The checkpoint must not reuse the ``shard-N.ckpt`` names
         # of older builds: each holds only some of the records under a
         # full-length cursor, so reading one as node state loses data.
-        self._session = JoinSession(config.params, seed=config.seed)
+        self._temporal = TemporalSession(
+            config.params, window_epochs=config.window_epochs, seed=config.seed
+        )
         self._checkpoint = ShardCheckpoint(self.data_dir / "node.ckpt")
         self._retry = RetryPolicy(config.retries, seed=config.seed)
-        self._folded = 0  # WAL records folded into the session
+        self._folded = 0  # WAL records folded into the accumulator
         self._last_checkpoint = 0  # cursor of the newest complete flush
         self._snapshot: Optional[Snapshot] = None
         self._started = False
@@ -234,21 +240,6 @@ class AggregationService:
         # Entries ride inside WAL records ("idem" field), so the ledger is
         # WAL-durable for free — start() rebuilds it during replay.
         self._dedup: "OrderedDict[Tuple[str, str], dict]" = OrderedDict()
-        # Temporal ring (None when epoch_interval is 0).  Not checkpointed:
-        # epochs are a pure function of WAL sequence numbers, so start()
-        # rebuilds the identical ring by replaying every record through
-        # the same roll-then-collect path ingest uses.
-        self._temporal: Optional[TemporalSession] = None
-        self._reset_temporal()
-
-    def _reset_temporal(self) -> None:
-        """(Re)build the empty temporal ring on the session's pairs."""
-        if self.config.epoch_interval > 0:
-            self._temporal = TemporalSession(
-                self.config.params,
-                window_epochs=self.config.window_epochs,
-                pairs=self._session.pairs,
-            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -275,8 +266,11 @@ class AggregationService:
         starts from empty state (same hash pairs), so re-running it after
         a fault is clean.
         """
-        self._session = JoinSession(self.config.params, pairs=self._session.pairs)
-        self._reset_temporal()
+        self._temporal = TemporalSession(
+            self.config.params,
+            window_epochs=self.config.window_epochs,
+            pairs=self._temporal.pairs,
+        )
         self.tenants = {}
         self._dedup.clear()
         records, tear = self.wal.recover()
@@ -297,31 +291,36 @@ class AggregationService:
         except CheckpointCorruptError as error:
             cold_start = error.reason
             state = None
+        interval = self.config.epoch_interval
         if state is not None:
             partial, cursor = state
             # A checkpoint ahead of the WAL can only happen under fsync
             # policies weaker than the checkpoint's, or after a rewind
-            # cut the WAL beneath it; the WAL is the acknowledgement
-            # boundary, so it wins: drop the checkpoint and re-fold from
-            # the log.
-            if cursor > len(records):
+            # cut the WAL beneath it (or the ring beneath the prefix); one
+            # of another epoch_interval, after epochs were switched on,
+            # off or resized.  The WAL is the acknowledgement boundary, so
+            # it wins: drop the checkpoint and re-fold from the log.
+            limit = self._checkpoint_cursor(len(records))
+            written = partial.meta.get("epoch_interval", 0)
+            if cursor > limit or written != interval:
                 cold_start = (
-                    f"checkpoint cursor {cursor} ahead of the "
-                    f"{len(records)}-record WAL"
+                    f"checkpoint cursor {cursor} ahead of the {len(records)}-record WAL"
+                    if cursor > len(records)
+                    else f"checkpoint cursor {cursor} at epoch_interval {written} is "
+                    f"not one this config writes (cursor {limit}, interval {interval})"
                 )
                 cursor = 0
+            elif interval:
+                self._temporal.resume(
+                    partial, cursor // interval, charges_per_epoch=interval
+                )
             else:
-                self._session.merge(partial)
+                self._temporal.open_session.merge(partial)
         for sequence, record in enumerate(records):
             self._count_tenant(record)
             self._remember_ack(record, sequence)
-            if sequence < cursor:
-                # Already inside the checkpoint — but the temporal ring
-                # is rebuilt from the WAL alone, so every record still
-                # rolls and folds the epoch buckets.
-                self._fold_temporal(record, sequence)
-                continue
-            self._fold(record, sequence)
+            if sequence >= cursor:
+                self._fold(record, sequence)
         self._folded = len(records)
         self._last_checkpoint = cursor
         return {
@@ -331,12 +330,29 @@ class AggregationService:
             "cold_start": cold_start,
         }
 
+    def _checkpoint_cursor(self, records: int) -> int:
+        """The cursor a flush writes once ``records`` records are folded.
+
+        All of them; with epochs on, the first record the ring retains.
+        """
+        interval = self.config.epoch_interval
+        if not interval:
+            return records
+        evicted = (records - 1) // interval - self.config.window_epochs
+        return max(evicted, 0) * interval
+
     def flush(self) -> None:
-        """Durability barrier: fsync the WAL, checkpoint the session."""
+        """Durability barrier: fsync the WAL, checkpoint the accumulator."""
         self._require_started()
         self.wal.sync()
-        self._checkpoint.flush(self._session.to_partial(), cursor=self._folded)
-        self._last_checkpoint = self._folded
+        cursor = self._checkpoint_cursor(self._folded)
+        temporal = self._temporal
+        partial = (
+            temporal.prefix if self.config.epoch_interval else temporal.open_session.to_partial()
+        )
+        partial.meta["epoch_interval"] = self.config.epoch_interval  # what cursor counts
+        self._checkpoint.flush(partial, cursor=cursor)
+        self._last_checkpoint = cursor
 
     def close(self) -> None:
         """Flush state and release the WAL handle (idempotent)."""
@@ -366,7 +382,7 @@ class AggregationService:
 
         The batch is validated, appended to the WAL (the acknowledgement
         boundary — once :meth:`~repro.service.wal.WriteAheadLog.append`
-        returns, a crash cannot lose it), then folded into the session
+        returns, a crash cannot lose it), then folded into the accumulator
         under the retry policy.  The fold's ``service.ingest`` fault
         point fires *before* any mutation, so an absorbed fault re-runs
         the fold cleanly.
@@ -396,22 +412,18 @@ class AggregationService:
                 ack = dict(original)
                 ack["deduplicated"] = True
                 return ack
-        record = self._validate_batch(tenant, stream, values, attribute)
-        if len(record["values"]) > self.config.max_batch_reports:
+        array = self._validate_batch(tenant, stream, values, attribute)
+        if array.size > self.config.max_batch_reports:
             raise ParameterError(
-                f"batch holds {len(record['values'])} reports, over the "
+                f"batch holds {array.size} reports, over the "
                 f"{self.config.max_batch_reports}-report admission cap; split it"
             )
+        record = dict(
+            tenant=tenant, stream=stream, attribute=int(attribute), values=array.tolist()
+        )
         if idempotency_key is not None:
             record["idem"] = idempotency_key
-        sequence = self.wal.append(encode_frame(record))
-        self._folded = sequence + 1
-        self._count_tenant(record)
-        ack = self._remember_ack(record, sequence)
-        self._retry.call(
-            lambda: self._fold(record, sequence),
-            operation=f"service.ingest[{sequence}]",
-        )
+        sequence, ack = self._append(encode_frame(record), record, "service.ingest")
         self._after_append(record, sequence)
         if (sequence + 1) % self.config.checkpoint_interval == 0:
             self.flush()
@@ -419,8 +431,8 @@ class AggregationService:
 
     def _validate_batch(
         self, tenant: str, stream: str, values: Sequence[int], attribute: int
-    ) -> dict:
-        """The WAL record of one batch, or ParameterError if it cannot fold.
+    ) -> np.ndarray:
+        """One batch's values as int64, or ParameterError if it cannot fold.
 
         Both write paths run it before their WAL append: :meth:`ingest`
         on a client's batch, and a standby on every shipped record.
@@ -443,13 +455,10 @@ class AggregationService:
                     )
         # Everything the fold would reject is rejected here, before the
         # WAL append: a record that cannot fold would fail every replay.
-        try:
-            attribute = int(attribute)
-        except (TypeError, ValueError, OverflowError) as error:
-            raise ParameterError(
-                f"attribute must be an integer, got {attribute!r}"
-            ) from error
-        self._session.params_for(attribute)  # bounds check
+        # The values' rule: ``int()`` would take ``0.7``, ``"0"``, ``False`` as 0.
+        if isinstance(attribute, bool) or not isinstance(attribute, (int, np.integer)):
+            raise ParameterError(f"attribute must be an integer, got {attribute!r}")
+        self._temporal.open_session.params_for(int(attribute))  # bounds check
         try:
             array = _int64_values(values)
         except (TypeError, ValueError, OverflowError) as error:
@@ -465,38 +474,34 @@ class AggregationService:
             check_domain(array)
         except DomainError as error:
             raise ParameterError(f"batch values out of domain: {error}") from error
-        return {
-            "tenant": tenant,
-            "stream": stream,
-            "attribute": attribute,
-            "values": array.tolist(),
-        }
+        return array
+
+    def _append(
+        self, frame: bytes, record: Mapping[str, Any], operation: str
+    ) -> Tuple[int, dict]:
+        """Append ``frame``, then count, ledger and fold its ``record``.
+
+        Ingest's and a standby's one write path; returns ``(sequence, ack)``.
+        """
+        sequence = self.wal.append(frame)
+        self._folded = sequence + 1
+        self._count_tenant(record)
+        ack = self._remember_ack(record, sequence)
+        self._retry.call(lambda: self._fold(record, sequence), operation=f"{operation}[{sequence}]")
+        return sequence, ack
 
     def _fold(self, record: Mapping[str, Any], sequence: int) -> None:
-        """Fold one WAL record into the session (pure given the record)."""
+        """Fold one WAL record into the open epoch (pure given the record).
+
+        The epoch is ``sequence // epoch_interval`` — a pure function of
+        the WAL position — and the batch uses its derived seed, so replay
+        and replication rebuild byte-identical epochs.
+        """
         fault_point(
             "service.ingest", sequence=int(sequence), tenant=str(record["tenant"])
         )
-        self._fold_temporal(record, sequence)
-        self._session.collect(
-            f"{record['tenant']}/{record['stream']}",
-            np.asarray(record["values"], dtype=np.int64),
-            attribute=int(record["attribute"]),
-            seed=batch_seed(self.config.seed, sequence),
-        )
-
-    def _fold_temporal(self, record: Mapping[str, Any], sequence: int) -> None:
-        """Roll the epoch ring to ``sequence``'s epoch and fold the batch.
-
-        The epoch is ``sequence // epoch_interval`` — a pure function of
-        the WAL position — and the batch re-uses the fold's derived
-        seed, so the epoch accumulators are the same integer sums the
-        session holds for those records.  Replay and replication
-        therefore rebuild a byte-identical ring.
-        """
-        if self._temporal is None:
-            return
-        self._temporal.roll_to(sequence // self.config.epoch_interval)
+        if self.config.epoch_interval:
+            self._temporal.roll_to(sequence // self.config.epoch_interval)
         self._temporal.collect(
             f"{record['tenant']}/{record['stream']}",
             np.asarray(record["values"], dtype=np.int64),
@@ -554,10 +559,10 @@ class AggregationService:
     # Publishing
     # ------------------------------------------------------------------
     def publish(self) -> dict:
-        """Publish the session's state as a new snapshot.
+        """Publish the accumulator's state as a new snapshot.
 
-        Pure over the session — the snapshot copies its partial into a
-        fresh query session, so injected faults at ``service.merge`` /
+        Pure over the accumulator — the snapshot sums it into a fresh
+        query session, so injected faults at ``service.merge`` /
         ``service.snapshot`` are absorbed by a clean re-run.  The
         snapshot payload is canonical JSON with timing counters excluded
         (wall-clock accounting is real but not part of the published
@@ -571,9 +576,10 @@ class AggregationService:
 
     def _build_snapshot(self) -> Snapshot:
         fault_point("service.merge", wal_records=self._folded)
-        partial = self._session.to_partial(include_timing=False)
-        session = JoinSession(self.config.params, pairs=self._session.pairs)
-        session.merge(partial)
+        partials = self._temporal.partials()
+        session = self._temporal.merged_session(partials)
+        # Several partials publish the merged ledger, its epochs' names renamed apart.
+        partial = partials[0] if len(partials) == 1 else session.to_partial(include_timing=False)
         fault_point("service.snapshot", wal_records=self._folded)
         payload = {
             "format": SNAPSHOT_FORMAT,
@@ -654,14 +660,14 @@ class AggregationService:
     ) -> dict:
         """Sliding-window estimate over the newest ``window`` epochs.
 
-        The window session is a fresh tree-merge of the ring's partials
-        (plus the open epoch) — pure over deterministic WAL state, so
-        the query is retry-safe and two replicas that agree on the WAL
+        The window session is a fresh sum of the ring's partials (plus
+        the open epoch) — pure over deterministic WAL state, so the
+        query is retry-safe and two replicas that agree on the WAL
         return identical bytes.  Each answered release is noted on the
         continual-observation ledger per covered epoch.
         """
         self._require_started()
-        if self._temporal is None:
+        if not self.config.epoch_interval:
             raise ProtocolError(
                 "temporal windows are disabled; start the service with "
                 "epoch_interval > 0 to enable windowed estimates"
@@ -671,8 +677,7 @@ class AggregationService:
         def run() -> Tuple[list, dict]:
             fault_point("service.query", kind="window", tenant=str(tenant))
             entries = temporal.window_entries(window)
-            session = JoinSession(self.config.params, pairs=self._session.pairs)
-            session.merge(merge_tree([partial for _, partial in entries]))
+            session = temporal.merged_session(partial for _, partial in entries)
             result = session.estimate(
                 self._qualify(tenant, stream_a), self._qualify(tenant, stream_b)
             )
@@ -761,7 +766,7 @@ class AggregationService:
             "recovery": self.recovery,
             "temporal": (
                 None
-                if self._temporal is None
+                if not self.config.epoch_interval
                 else dict(
                     self._temporal.status(),
                     epoch_interval=self.config.epoch_interval,

@@ -519,14 +519,7 @@ class ReplicatedService(AggregationService):
             expected = self._folded
         if sequence > expected:
             raise ReplicaGapError(expected, sequence)
-        applied = self.wal.append(frame)
-        self._folded = applied + 1
-        self._count_tenant(record)
-        self._remember_ack(record, applied)
-        self._retry.call(
-            lambda: self._fold(record, applied),
-            operation=f"service.replicate.apply[{applied}]",
-        )
+        applied, _ = self._append(frame, record, "service.replicate.apply")
         if (applied + 1) % self.config.checkpoint_interval == 0:
             self.flush()
         return {
@@ -544,8 +537,8 @@ class ReplicatedService(AggregationService):
         through the same recovery :meth:`start` runs, under the retry
         policy: it resets the accumulator, ring, tenant counters and
         dedup ledger, and re-folds the kept prefix — from the checkpoint
-        when its cursor is at or before the cut, else from the first
-        record.  A fold is a pure function of ``(record, sequence)``, so
+        when a flush over the kept records could have written its cursor,
+        else from the first record.  A fold is a pure function of ``(record, sequence)``, so
         the rebuilt state is byte-identical to a node that never held
         the fork.  A published snapshot that included dropped records is
         withdrawn, and the checkpoint is reflushed so no on-disk cursor

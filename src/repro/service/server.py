@@ -584,7 +584,9 @@ class ServiceServer:
         for field in ("tenant", "stream", "values"):
             if field not in payload:
                 return 400, {"error": f"missing field {field!r}"}, None
-        tenant = str(payload["tenant"])
+        tenant = payload["tenant"]  # keys the queue slot the worker releases
+        if not isinstance(tenant, str) or not tenant:
+            return 400, {"error": f"tenant must be a non-empty string, got {tenant!r}"}, None
         if self._closing or self._queue is None:
             return 503, {"error": "service is draining"}, {"Retry-After": "1"}
         if self._worker_error is not None:

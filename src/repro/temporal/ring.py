@@ -4,9 +4,9 @@ The temporal subsystem buckets ingestion into *epochs* and keeps each
 closed epoch as one mergeable
 :class:`~repro.distributed.PartialAggregate` — the same wire object
 shard collection uses, so answering "the last ``W`` epochs" is nothing
-more than a :func:`~repro.distributed.merge_tree` over ``W`` partials.
-The ring bounds retention: only the newest ``capacity`` closed epochs
-stay queryable, older ones are evicted in push order.
+more than a sum of ``W`` partials.  The ring bounds retention: only the
+newest ``capacity`` closed epochs stay queryable, older ones are evicted
+in push order and handed back to the caller.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class EpochRing:
     def __iter__(self) -> Iterator[Tuple[int, PartialAggregate]]:
         return iter(self._entries)
 
-    def push(self, epoch: int, partial: PartialAggregate) -> None:
-        """Retain one closed epoch; evict the oldest past capacity."""
+    def push(self, epoch: int, partial: PartialAggregate) -> List[Tuple[int, PartialAggregate]]:
+        """Retain one closed epoch; return the entries it evicts, oldest first."""
         epoch = int(epoch)
         if self._entries and epoch <= self._entries[-1][0]:
             raise ParameterError(
@@ -50,8 +50,9 @@ class EpochRing:
                 f"{self._entries[-1][0]}"
             )
         self._entries.append((epoch, partial))
-        while len(self._entries) > self.capacity:
-            self._entries.pop(0)
+        evicted = self._entries[: -self.capacity]
+        del self._entries[: -self.capacity]
+        return evicted
 
     def epochs(self) -> List[int]:
         """Retained epoch indices, oldest first."""
@@ -62,13 +63,6 @@ class EpochRing:
 
     def oldest_epoch(self) -> Optional[int]:
         return self._entries[0][0] if self._entries else None
-
-    def get(self, epoch: int) -> Optional[PartialAggregate]:
-        """The retained partial of ``epoch``, or ``None`` if evicted/unseen."""
-        for retained, partial in self._entries:
-            if retained == int(epoch):
-                return partial
-        return None
 
     def last(self, count: int) -> List[Tuple[int, PartialAggregate]]:
         """The newest ``count`` retained entries, oldest first."""

@@ -4,10 +4,11 @@
 *epoch* (the open bucket) on hash pairs shared by every epoch, closes
 each bucket into a mergeable
 :class:`~repro.distributed.PartialAggregate` ring, and answers window
-queries by tree-merging the requested epochs into a fresh session — the
-same byte-identical reduction shard collection uses, so a window
-estimate equals, bit for bit, the estimate of a session that ingested
-only the window's batches.
+queries by summing the requested epochs into a fresh session, so a
+window estimate equals, bit for bit, the estimate of a session that
+ingested only the window's batches.  Evicted epochs merge into one
+*prefix*, so prefix + ring + open epoch is all time: the online service
+keeps no other accumulator, and checkpoints the prefix.
 
 Three query shapes:
 
@@ -28,11 +29,10 @@ continual-observation accounting across re-released epochs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..api.session import JoinSession
 from ..core.params import SketchParams
-from ..distributed.merge import merge_tree
 from ..distributed.partial import PartialAggregate
 from ..errors import ParameterError, ProtocolError
 from ..hashing import HashPairs
@@ -61,9 +61,6 @@ class TemporalSession:
         Pre-built hash pairs to share (e.g. with a sibling service).
     backend:
         Compute-backend pin forwarded to every epoch session.
-    continual:
-        The continual-observation ledger to charge at epoch close; a
-        fresh one by default.
     """
 
     def __init__(
@@ -74,7 +71,6 @@ class TemporalSession:
         seed: RandomState = None,
         pairs: Optional[Sequence[HashPairs]] = None,
         backend=None,
-        continual: Optional[ContinualLedger] = None,
     ) -> None:
         self.params = params
         self._coordinator = JoinSession(
@@ -87,7 +83,9 @@ class TemporalSession:
         self._shard_rng = ensure_rng(seed)
         self._open = self._spawn_epoch_shard()
         self._epoch = 0
-        self.continual = ContinualLedger() if continual is None else continual
+        # Evicted epochs in order; their charges keep their epoch's names.
+        self._prefix = self._coordinator.to_partial(include_timing=False)
+        self.continual = ContinualLedger()
 
     def _spawn_epoch_shard(self) -> JoinSession:
         return self._coordinator.spawn_shard(
@@ -108,14 +106,19 @@ class TemporalSession:
         return self._epoch
 
     @property
-    def window_epochs(self) -> int:
-        """Ring capacity: the largest answerable sliding window."""
-        return self._ring.capacity
-
-    @property
     def ring(self) -> EpochRing:
         """The ring of closed epochs (read-only by convention)."""
         return self._ring
+
+    @property
+    def open_session(self) -> JoinSession:
+        """The open epoch's session; every roll replaces it."""
+        return self._open
+
+    @property
+    def prefix(self) -> PartialAggregate:
+        """Every epoch the ring has evicted, merged into one partial."""
+        return self._prefix
 
     def open_reports(self) -> int:
         """Reports ingested into the open epoch so far."""
@@ -131,23 +134,20 @@ class TemporalSession:
         self._open.collect(stream, values, **kwargs)
         return self
 
-    def collect_pair(self, stream: str, *args, **kwargs) -> "TemporalSession":
-        """Fold one middle-table cohort into the open epoch's ``stream``."""
-        self._open.collect_pair(stream, *args, **kwargs)
-        return self
-
     def roll(self) -> PartialAggregate:
         """Close the open epoch into the ring; open the next.
 
         The closed epoch's partial (timing excluded — epochs are part of
-        published identity) is retained in the ring, its cohort charges
+        published identity) is retained in the ring, the epoch the ring
+        evicts for it is merged into :attr:`prefix`, its cohort charges
         land on the continual ledger under ``(subject, epoch, group)``,
         and a fresh sibling session on the same pairs starts the next
         epoch.  Empty epochs close too: the ring mirrors elapsed time,
         not traffic.
         """
         partial = self._open.to_partial(include_timing=False)
-        self._ring.push(self._epoch, partial)
+        for _, evicted in self._ring.push(self._epoch, partial):
+            self._prefix.merge(evicted)
         for group, epsilon, mechanism in self._open.ledger.charges:
             self.continual.charge(
                 self._subject_of(group), self._epoch, group, epsilon, mechanism
@@ -168,6 +168,21 @@ class TemporalSession:
             self.roll()
             rolls += 1
         return rolls
+
+    def resume(
+        self, prefix: PartialAggregate, epochs: int, *, charges_per_epoch: int
+    ) -> "TemporalSession":
+        """Start this fresh session from a :attr:`prefix` of ``epochs`` epochs.
+
+        Epoch ``epochs`` opens next.  The prefix's charges go back on the
+        continual ledger in order, ``charges_per_epoch`` to an epoch.
+        """
+        self._prefix.merge(prefix)
+        self._epoch = int(epochs)
+        for index, (group, eps, mechanism) in enumerate(prefix.meta.get("charges", [])):
+            epoch = index // charges_per_epoch
+            self.continual.charge(self._subject_of(group), epoch, group, eps, mechanism)
+        return self
 
     @staticmethod
     def _subject_of(group: str) -> str:
@@ -220,14 +235,29 @@ class TemporalSession:
     ) -> JoinSession:
         """A fresh session holding exactly the window's accumulators.
 
-        Tree-merges the window's partials — integer adds on
-        pre-transform accumulators — so the result is byte-identical to
-        a session that ingested only the window's batches, and every
+        The result is byte-identical to a session that ingested only the
+        window's batches (see :meth:`merged_session`), and every
         :class:`~repro.api.JoinSession` query runs on it unchanged.
         """
         entries = self.window_entries(window, include_open=include_open)
+        return self.merged_session(partial for _, partial in entries)
+
+    def partials(self) -> List[PartialAggregate]:
+        """All time, oldest first: the prefix (if not empty), ring, open epoch."""
+        partials = [self._prefix] if self._prefix.arrays else []
+        partials.extend(partial for _, partial in self._ring)
+        partials.append(self._open.to_partial(include_timing=False))
+        return partials
+
+    def merged_session(self, partials: Iterable[PartialAggregate]) -> JoinSession:
+        """A fresh session holding the sum of ``partials``, left untouched.
+
+        Integer adds, so any grouping gives the same bytes; colliding
+        cohort names are renamed apart (``A@partial1``) as in every merge.
+        """
         session = JoinSession(self.params, pairs=self._coordinator.pairs)
-        session.merge(merge_tree([partial for _, partial in entries]))
+        for partial in partials:
+            session.merge(partial)
         return session
 
     def tumbling_session(self, width: int) -> JoinSession:
@@ -252,9 +282,7 @@ class TemporalSession:
                 f"(open epoch is {self._epoch})"
             )
         entries = self._ring.slice(block_end - width, block_end)
-        session = JoinSession(self.params, pairs=self._coordinator.pairs)
-        session.merge(merge_tree([partial for _, partial in entries]))
-        return session
+        return self.merged_session(partial for _, partial in entries)
 
     def decayed_estimate(
         self,

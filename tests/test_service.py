@@ -348,6 +348,11 @@ class TestAggregationService:
             ([1, 2], "abc", "attribute"),
             ([1, 2], None, "attribute"),
             ([1, 2], 1, "attribute"),
+            # Attributes ``int()`` would coerce to 0 instead of refusing.
+            ([1, 2], 0.7, "attribute"),
+            ([1, 2], "0", "attribute"),
+            ([1, 2], " 0 ", "attribute"),
+            ([1, 2], False, "attribute"),
         ],
     )
     def test_unfoldable_batch_is_rejected_before_the_wal(
@@ -837,6 +842,9 @@ class TestServiceServer:
                     {"values": [1, 2**31 - 1]},
                     {"values": [1, 2], "attribute": "abc"},
                     {"values": [1, 2], "attribute": None},
+                    {"values": [1, 2], "attribute": 0.7},
+                    {"values": [1, 2], "attribute": "0"},
+                    {"values": [1, 2], "attribute": False},
                     {"values": [1.7, 2.9, True]},
                     {"values": [1, True]},
                     {"stream": "A#2", "values": [1, 2]},
@@ -858,6 +866,36 @@ class TestServiceServer:
 
         asyncio.run(scenario())
         assert len(WriteAheadLog(tmp_path / "data" / "wal.log").recover()[0]) == 1
+
+    def test_malformed_tenant_is_400_and_holds_no_queue_slot(self, tmp_path):
+        """A tenant that cannot key a queue slot is refused before queueing.
+
+        A list tenant used to kill the ingest worker (its slot could not
+        be released), and an int tenant leaked the slot of its string
+        form until that real tenant was refused with 429 for good.
+        """
+
+        async def scenario():
+            server = self._server(tmp_path, tenant_queue_limit=2)
+            host, port = await server.start()
+            try:
+                for tenant in (["x"], 5, 5, 5, "", None):
+                    batch = {"tenant": tenant, "stream": "A", "values": [1, 2]}
+                    status, body, _ = await _request(
+                        host, port, "POST", "/v1/report", batch
+                    )
+                    assert status == 400 and "tenant" in body["error"], body
+                batch = {"tenant": "5", "stream": "A", "values": [1, 2]}
+                status, ack, _ = await _request(
+                    host, port, "POST", "/v1/report", batch
+                )
+                assert (status, ack) == (200, {"sequence": 0, "reports": 2})
+                status, _, _ = await _request(host, port, "GET", "/healthz")
+                assert status == 200
+            finally:
+                await server.shutdown()
+
+        asyncio.run(scenario())
 
     @pytest.mark.parametrize("declared", ["abc", "-5", "+5", "1_0"])
     def test_bad_content_length_is_400_and_closes(self, tmp_path, declared):
@@ -1193,12 +1231,198 @@ class TestTemporalService:
         recovery = restarted.start()
         assert recovery["wal_records"] == 7
 
-        # The ring is never checkpointed; replay alone must rebuild it.
+        # No epoch was evicted yet: the checkpoint holds an empty prefix,
+        # so replay alone must rebuild the ring.
         assert restarted.status()["temporal"] == reference.status()["temporal"]
         for window in (2, 4):
             assert restarted.estimate(TENANT, "A", "B", window=window) == (
                 reference.estimate(TENANT, "A", "B", window=window)
             )
+        reference.close()
+        restarted.close()
+
+    @staticmethod
+    def _count_encodes(monkeypatch) -> list:
+        """Count client-simulation encodes (one per perturbed batch)."""
+        import repro.api.session as session_module
+
+        calls = []
+        encode = session_module.encode_reports_into
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "encode_reports_into", counting)
+        return calls
+
+    def test_each_record_is_perturbed_once(self, tmp_path, monkeypatch):
+        """The ring is the node's one accumulator: one encode per batch."""
+        calls = self._count_encodes(monkeypatch)
+        service = AggregationService(self._temporal_config(tmp_path))
+        service.start()
+        for tenant, stream, values in make_batches(12):
+            before = len(calls)
+            service.ingest(tenant, stream, values)
+            assert len(calls) - before == 1
+        service.close()
+
+    def _ingest_with_keys(self, service, batches) -> None:
+        for sequence, (tenant, stream, values) in enumerate(batches):
+            service.ingest(tenant, stream, values, idempotency_key=f"k{sequence}")
+
+    def _observe(self, service, batches) -> dict:
+        """Everything a client or operator can read off a node."""
+        status = service.status()
+        status.pop("recovery")
+        windows = [
+            service.estimate(TENANT, "A", "B", window=window)
+            for window in range(1, self.RETAINED + 2)
+        ]
+        tenant, stream, values = batches[3]
+        replayed_ack = service.ingest(tenant, stream, values, idempotency_key="k3")
+        service.publish()
+        return {
+            "status": status,
+            "windows": windows,
+            "dedup": replayed_ack,
+            "digest": service.snapshot.digest,
+            "after": service.status()["temporal"],
+        }
+
+    @pytest.mark.parametrize("num_batches", [20, 40])
+    def test_restart_refolds_only_the_prefix_tail(
+        self, tmp_path, monkeypatch, num_batches
+    ):
+        """A restart folds ``(window_epochs + 1) * epoch_interval`` records.
+
+        The checkpoint holds the prefix of evicted epochs, so the re-fold
+        covers only the retained epochs and the open one — the same count
+        at any WAL length — and the restarted node answers exactly as a
+        node that never crashed.
+        """
+        batches = make_batches(num_batches)
+        reference = AggregationService(self._temporal_config(tmp_path / "ref"))
+        reference.start()
+        self._ingest_with_keys(reference, batches)
+
+        crashed = AggregationService(self._temporal_config(tmp_path / "crash"))
+        crashed.start()
+        self._ingest_with_keys(crashed, batches)
+        crashed.close()
+
+        calls = self._count_encodes(monkeypatch)
+        restarted = AggregationService(self._temporal_config(tmp_path / "crash"))
+        recovery = restarted.start()
+        refold = (self.RETAINED + 1) * self.INTERVAL
+        assert len(calls) == refold
+        assert recovery["replayed"] == refold
+        assert restarted.status()["last_checkpoint_sequence"] == num_batches - refold
+        assert self._observe(restarted, batches) == self._observe(reference, batches)
+        reference.close()
+        restarted.close()
+
+    def test_snapshot_sums_every_epoch_the_ring_evicted(self, tmp_path):
+        """An epochs node publishes all time: prefix + ring + open epoch.
+
+        Its arrays, counters and per-stream charges are an epochs-off
+        node's; only the ledger's group names differ (each epoch names
+        its cohorts afresh and the sum renames them apart), and the
+        worst-case spend stays the configured epsilon.
+        """
+        from repro.privacy import BudgetLedger
+
+        batches = make_batches(20)  # 10 epochs of 2, 4 retained
+        published = []
+        for config in (make_config(tmp_path / "flat"), self._temporal_config(tmp_path / "ring")):
+            service = AggregationService(config)
+            service.start()
+            for tenant, stream, values in batches:
+                service.ingest(tenant, stream, values)
+            service.publish()
+            published.append(json.loads(service.snapshot.payload_bytes)["partial"])
+            service.close()
+        flat, ring = published
+        assert ring["arrays"] == flat["arrays"]
+        assert ring["counters"] == flat["counters"]
+        charges = [meta.pop("charges") for meta in (flat["meta"], ring["meta"])]
+        assert ring["meta"] == flat["meta"]
+
+        def cohorts(rows):
+            return sorted((group.split("#")[0].split("@")[0], eps) for group, eps, _ in rows)
+
+        assert cohorts(charges[1]) == cohorts(charges[0])
+        ledger = BudgetLedger()
+        ledger.restore(charges[1])
+        assert ledger.worst_case_epsilon() == 2.0
+
+    @pytest.mark.parametrize("written_at", [0, 2])
+    def test_checkpoint_of_another_epoch_interval_cold_starts(
+        self, tmp_path, written_at
+    ):
+        """Cursor 32 fits interval 4, but its prefix was cut at another one.
+
+        Restored, its charges would keep the old epochs' cohort names (two
+        old epochs' ``acme/A`` in one new epoch) and the snapshot would
+        rename them apart differently from a node that always ran at 4.
+        """
+        batches = make_batches(40)
+        options = dict(window_epochs=1, checkpoint_interval=16)
+        crashed = AggregationService(
+            make_config(tmp_path / "crash", epoch_interval=written_at, **options)
+        )
+        crashed.start()
+        for tenant, stream, values in batches:
+            crashed.ingest(tenant, stream, values)
+        assert crashed.status()["last_checkpoint_sequence"] in (28, 32)
+        crashed.wal.close()
+
+        answers = []
+        for data_dir in ("crash", "ref"):
+            service = AggregationService(
+                make_config(tmp_path / data_dir, epoch_interval=4, **options)
+            )
+            recovery = service.start()
+            if data_dir == "ref":
+                for tenant, stream, values in batches:
+                    service.ingest(tenant, stream, values)
+            else:
+                assert f"epoch_interval {written_at}" in recovery["cold_start"]
+            service.publish()
+            answers.append(
+                (
+                    service.snapshot.digest,
+                    service.estimate(TENANT, "A", "B", window=2),
+                    service.status()["temporal"],
+                )
+            )
+            service.close()
+        assert answers[0] == answers[1]
+
+    def test_corrupt_checkpoint_cold_starts_to_the_same_answers(self, tmp_path):
+        batches = make_batches(20)
+        reference = AggregationService(self._temporal_config(tmp_path / "ref"))
+        reference.start()
+        self._ingest_with_keys(reference, batches)
+
+        crashed = AggregationService(self._temporal_config(tmp_path / "crash"))
+        crashed.start()
+        self._ingest_with_keys(crashed, batches)
+        crashed.close()
+        (tmp_path / "crash" / "node.ckpt").write_text("{ not json")
+
+        restarted = AggregationService(self._temporal_config(tmp_path / "crash"))
+        recovery = restarted.start()
+        assert "invalid JSON" in recovery["cold_start"]
+        assert recovery["replayed"] == len(batches)
+        observed, expected = (
+            self._observe(restarted, batches),
+            self._observe(reference, batches),
+        )
+        # The cold-started node has not flushed a checkpoint of its own yet.
+        assert observed["status"].pop("last_checkpoint_sequence") == 0
+        assert expected["status"].pop("last_checkpoint_sequence") == 10
+        assert observed == expected
         reference.close()
         restarted.close()
 

@@ -72,7 +72,15 @@ SERVICE_POINTS = (
 MAX_RESTARTS = 40
 
 
-def make_config(data_dir) -> ServiceConfig:
+#: Accumulator layouts every property runs under: epochs off, and an
+#: epoch ring whose 12 batches evict epoch 0 into the checkpointed prefix.
+LAYOUTS = {
+    "flat": {},
+    "epochs": {"epoch_interval": 3, "window_epochs": 2},
+}
+
+
+def make_config(data_dir, layout: str = "flat") -> ServiceConfig:
     return ServiceConfig(
         data_dir=data_dir,
         k=3,
@@ -81,6 +89,7 @@ def make_config(data_dir) -> ServiceConfig:
         seed=SEED,
         checkpoint_interval=4,
         retries=RETRIES,
+        **LAYOUTS[layout],
     )
 
 
@@ -94,27 +103,38 @@ def make_batches(num_batches: int = 12, reports: int = 30, seed: int = 5):
 
 BATCHES = make_batches()
 
-#: ``(digest, estimate)`` of the fault-free run, computed once.
+#: Outcome of the fault-free run per layout, computed once.
 _BASELINE: dict = {}
 
 
-def baseline():
-    if "outcome" not in _BASELINE:
+def outcome_of(service) -> tuple:
+    """Publish, then ``(digest, estimate)``; with epochs, window answers too."""
+    service.publish()
+    outcome = (
+        service.snapshot.digest,
+        service.estimate(TENANT, "A", "B")["estimate"],
+    )
+    if service.config.epoch_interval:
+        outcome += (
+            service.estimate(TENANT, "A", "B", window=3),
+            service.status()["temporal"],
+        )
+    return outcome
+
+
+def baseline(layout: str = "flat"):
+    if layout not in _BASELINE:
         with tempfile.TemporaryDirectory(prefix="repro-chaos-ref-") as tmp:
-            service = AggregationService(make_config(Path(tmp)))
+            service = AggregationService(make_config(Path(tmp), layout))
             service.start()
             for tenant, stream, values in BATCHES:
                 service.ingest(tenant, stream, values)
-            service.publish()
-            _BASELINE["outcome"] = (
-                service.snapshot.digest,
-                service.estimate(TENANT, "A", "B")["estimate"],
-            )
+            _BASELINE[layout] = outcome_of(service)
             service.close()
-    return _BASELINE["outcome"]
+    return _BASELINE[layout]
 
 
-def _supervised_start(data_dir) -> AggregationService:
+def _supervised_start(data_dir, layout: str) -> AggregationService:
     """Restart until recovery replay survives the armed plan's leftovers.
 
     ``start()`` replays WAL records outside the retry policy (replay is
@@ -123,7 +143,7 @@ def _supervised_start(data_dir) -> AggregationService:
     just starts the process again; model exactly that.
     """
     for _ in range(MAX_RESTARTS):
-        service = AggregationService(make_config(data_dir))
+        service = AggregationService(make_config(data_dir, layout))
         try:
             service.start()
             return service
@@ -132,17 +152,17 @@ def _supervised_start(data_dir) -> AggregationService:
     raise AssertionError("replay faults never exhausted across restarts")
 
 
-def run_under_faults(data_dir, batches, plan):
+def run_under_faults(data_dir, batches, plan, layout: str = "flat"):
     """Client + supervisor harness: every batch acked exactly once.
 
     The client resends a batch until it is acknowledged; any injected
     death (torn write, corrupted frame, crash before the append) is a
     process loss, so the supervisor restarts the engine from disk and
-    the client retries the batch that never acked.  Returns
-    ``(digest, estimate)`` of the final published snapshot.
+    the client retries the batch that never acked.  Returns the final
+    node's :func:`outcome_of`.
     """
     with injected(plan):
-        service = _supervised_start(data_dir)
+        service = _supervised_start(data_dir, layout)
         for tenant, stream, values in batches:
             for _ in range(MAX_RESTARTS):
                 try:
@@ -153,14 +173,10 @@ def run_under_faults(data_dir, batches, plan):
                     # (torn/corrupt appends really did damage the file),
                     # restart from disk, resend the batch.
                     service.wal.close()
-                    service = _supervised_start(data_dir)
+                    service = _supervised_start(data_dir, layout)
             else:
                 raise AssertionError("batch never acknowledged")
-        service.publish()
-        outcome = (
-            service.snapshot.digest,
-            service.estimate(TENANT, "A", "B")["estimate"],
-        )
+        outcome = outcome_of(service)
         service.close()
     return outcome
 
@@ -171,6 +187,15 @@ class TestServiceChaosProperties:
     @given(data=st.data())
     @settings(max_examples=12, deadline=None)
     def test_absorbable_schedules_publish_identical_bytes(self, data):
+        self._check(data, "flat")
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_absorbable_schedules_publish_identical_bytes_with_epochs(self, data):
+        self._check(data, "epochs")
+
+    @staticmethod
+    def _check(data, layout: str) -> None:
         plan_seed = data.draw(st.integers(0, 2**32 - 1), label="plan_seed")
         num_faults = data.draw(st.integers(1, 3), label="num_faults")
         sequence_match = data.draw(st.booleans(), label="sequence_match")
@@ -199,12 +224,14 @@ class TestServiceChaosProperties:
             )
         assert plan.absorbable_by(RETRIES)
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-            outcome = run_under_faults(Path(tmp), BATCHES, plan)
-        assert outcome == baseline()
+            outcome = run_under_faults(Path(tmp), BATCHES, plan, layout)
+        assert outcome == baseline(layout)
 
 
 class TestTornWriteSweep:
     """A torn or corrupted append at *every* sequence number recovers."""
+
+    LAYOUT = "flat"
 
     @pytest.mark.parametrize("kind", ["torn-write", "corrupt"])
     @pytest.mark.parametrize("sequence", range(0, len(BATCHES), 3))
@@ -220,8 +247,12 @@ class TestTornWriteSweep:
             ]
         )
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-            outcome = run_under_faults(Path(tmp), BATCHES, plan)
-        assert outcome == baseline()
+            outcome = run_under_faults(Path(tmp), BATCHES, plan, self.LAYOUT)
+        assert outcome == baseline(self.LAYOUT)
+
+
+class TestTornWriteSweepWithEpochs(TestTornWriteSweep):
+    LAYOUT = "epochs"
 
 
 # ---------------------------------------------------------------------------

@@ -669,6 +669,7 @@ UNFOLDABLE_RECORDS = {
     "out-of-domain": {"tenant": TENANT, "stream": "A", "attribute": 0, "values": [-5, 2]},
     "missing-values": {"tenant": TENANT, "stream": "A", "attribute": 0},
     "refused-by-primary": {"tenant": "t#x", "stream": "A", "attribute": 0, "values": [1.5]},
+    "string-attribute": {"tenant": TENANT, "stream": "A", "attribute": "0", "values": [1, 2]},
 }
 
 
