@@ -1,13 +1,12 @@
-"""Render the measured-results section of EXPERIMENTS.md from the CSVs.
+"""Print the measured results of the paper benches as Markdown, from their CSVs.
 
 Usage (after ``pytest benchmarks/ --benchmark-only``)::
 
-    python benchmarks/summarize_results.py            # print to stdout
-    python benchmarks/summarize_results.py --apply    # splice into EXPERIMENTS.md
+    python benchmarks/summarize_results.py
 
 The script compresses each ``benchmarks/results/*.csv`` into the compact
-series the paper plots (per-method summaries, trend endpoints), so the
-document shows real measured numbers without pasting hundred-row tables.
+series the paper plots (per-method summaries, trend endpoints), so a
+write-up can show real measured numbers without pasting hundred-row tables.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ import sys
 from pathlib import Path
 
 RESULTS = Path(__file__).resolve().parent / "results"
-EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
-MARKER = "<!-- PER_EXPERIMENT_DETAILS -->"
 
 
 def read(name):
@@ -290,18 +287,9 @@ def _num(x) -> bool:
         return False
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--apply", action="store_true", help="splice into EXPERIMENTS.md")
-    args = parser.parse_args()
-    body = build()
-    if args.apply:
-        text = EXPERIMENTS_MD.read_text()
-        head, _, _ = text.partition(MARKER)
-        EXPERIMENTS_MD.write_text(head + MARKER + "\n\n" + body)
-        print(f"updated {EXPERIMENTS_MD}")
-    else:
-        print(body)
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
+    print(build())
     return 0
 
 

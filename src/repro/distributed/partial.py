@@ -353,7 +353,26 @@ class PartialAggregate:
                 f"(this build reads versions "
                 f"{PARTIAL_MIN_VERSION}..{PARTIAL_VERSION})"
             )
+        # Every shape check raises the typed error: a payload read from a
+        # file or a socket must never surface as KeyError/TypeError.
         arrays_payload = payload.get("arrays", {})
+        if not isinstance(arrays_payload, dict) or not all(
+            isinstance(entry, dict) for entry in arrays_payload.values()
+        ):
+            raise PartialIntegrityError(
+                "partial-aggregate arrays must map names to array entries"
+            )
+        method = payload.get("method")
+        if not isinstance(method, str):
+            raise PartialIntegrityError(
+                f"partial-aggregate method must be a string, got {method!r}"
+            )
+        for key in ("fingerprint", "counters", "meta"):
+            if not isinstance(payload.get(key, {}), dict):
+                raise PartialIntegrityError(
+                    f"partial-aggregate {key} must be an object, "
+                    f"got {type(payload[key]).__name__}"
+                )
         if version >= 2:
             recorded = payload.get("checksum")
             actual = content_checksum(arrays_payload)
@@ -368,22 +387,29 @@ class PartialAggregate:
         for name, entry in arrays_payload.items():
             try:
                 arrays[name] = decode_array(entry["data"], np.dtype(entry["dtype"]))
-            except ParameterError as error:
+            except (KeyError, TypeError, ValueError) as error:
                 # decode_array rejects byte-count mismatches (a truncated
                 # base64 body that still crc-matched cannot happen, but a
-                # version-1 payload has no crc to catch it first).
+                # version-1 payload has no crc to catch it first); numpy
+                # rejects an unknown dtype name.
                 raise PartialIntegrityError(
                     f"partial-aggregate array {name!r} failed to decode: {error}"
                 ) from error
             ops[name] = entry.get("op", "sum")
-        return cls(
-            payload["method"],
-            payload.get("fingerprint", {}),
-            arrays,
-            ops=ops,
-            counters=payload.get("counters", {}),
-            meta=payload.get("meta", {}),
-        )
+        try:
+            return cls(
+                method,
+                payload.get("fingerprint", {}),
+                arrays,
+                ops=ops,
+                counters=payload.get("counters", {}),
+                meta=payload.get("meta", {}),
+            )
+        except (TypeError, ValueError) as error:
+            # A counter that is not a number, or an unknown merge op.
+            raise PartialIntegrityError(
+                f"malformed partial-aggregate payload: {error}"
+            ) from error
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

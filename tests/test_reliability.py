@@ -22,6 +22,7 @@ from repro.distributed import (
     PARTIAL_VERSION,
     PartialAggregate,
     ShardCheckpoint,
+    content_checksum,
     estimate_sharded,
     ingest_with_checkpoint,
     merge_sequential,
@@ -502,6 +503,37 @@ class TestPartialChecksum:
         payload = _small_partial().to_dict()
         payload["version"] = PARTIAL_VERSION + 1
         with pytest.raises(ParameterError):
+            PartialAggregate.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            pytest.param(lambda p: p.update(fingerprint=5), id="int-fingerprint"),
+            pytest.param(lambda p: p.pop("method"), id="missing-method"),
+            pytest.param(
+                lambda p: next(iter(p["arrays"].values())).update(dtype="garbage"),
+                id="garbage-dtype",
+            ),
+            pytest.param(
+                lambda p: p["arrays"].update({next(iter(p["arrays"])): [1, 2]}),
+                id="non-mapping-array-entry",
+            ),
+            pytest.param(lambda p: p.update(counters=[1, 2]), id="list-counters"),
+            pytest.param(lambda p: p.update(meta="abc"), id="str-meta"),
+            pytest.param(
+                lambda p: p.update(version=1, arrays="xyz") or p.pop("checksum"),
+                id="v1-str-arrays",
+            ),
+        ],
+    )
+    def test_malformed_payload_raises_the_typed_error(self, mangle):
+        """Shape errors are typed even when the checksum was recomputed."""
+        payload = json.loads(json.dumps(_small_partial().to_dict()))
+        mangle(payload)
+        arrays = payload["arrays"]
+        if isinstance(arrays, dict) and all(isinstance(e, dict) for e in arrays.values()):
+            payload["checksum"] = content_checksum(arrays)
+        with pytest.raises(PartialIntegrityError):
             PartialAggregate.from_dict(payload)
 
 

@@ -567,6 +567,33 @@ class TestAggregationService:
         assert restarted.snapshot.digest == reference
         restarted.close()
 
+    def test_malformed_partial_in_checkpoint_cold_starts(self, tmp_path):
+        """Valid JSON whose partial has the wrong shape is corruption too."""
+        batches = make_batches(10)
+        reference = run_to_digest(tmp_path / "ref", batches)
+
+        crashed = AggregationService(make_config(tmp_path / "crash"))
+        crashed.start()
+        for tenant, stream, values in batches[:8]:
+            crashed.ingest(tenant, stream, values)
+        crashed.wal.close()
+        path = tmp_path / "crash" / "node.ckpt"
+        payload = json.loads(path.read_text())
+        partial = payload["partial"]
+        partial.update(version=1, arrays="not a mapping")
+        del partial["checksum"]
+        path.write_text(json.dumps(payload))
+
+        restarted = AggregationService(make_config(tmp_path / "crash"))
+        recovery = restarted.start()
+        assert "arrays must map names" in recovery["cold_start"]
+        assert recovery["replayed"] == 8
+        for tenant, stream, values in batches[8:]:
+            restarted.ingest(tenant, stream, values)
+        restarted.publish()
+        assert restarted.snapshot.digest == reference
+        restarted.close()
+
     def test_checkpoint_ahead_of_wal_is_cold_started(self, tmp_path):
         """A checkpoint past the WAL (lost log bytes) must not double-count."""
         data_dir = tmp_path / "svc"

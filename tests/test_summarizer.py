@@ -1,4 +1,4 @@
-"""Smoke tests for the EXPERIMENTS.md results summariser."""
+"""Smoke tests for the paper-bench results summariser."""
 
 from __future__ import annotations
 
@@ -48,3 +48,19 @@ class TestSummarizer:
         assert lines[0].startswith("| epsilon | A | B |")
         assert "| 1 | 10 | 20 |" in table
         assert "| 2 | 5 | - |" in table
+
+    def test_main_prints_the_body_and_writes_no_file(self, summarizer, tmp_path,
+                                                     monkeypatch, capsys):
+        (tmp_path / "fig7.csv").write_text(
+            "dataset,method,bits_per_report,total_bits\nzipf,LDPJoinSketch,1,2000\n"
+        )
+        monkeypatch.setattr(summarizer, "RESULTS", tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert summarizer.main([]) == 0
+        out = capsys.readouterr().out
+        assert out == summarizer.build() + "\n"
+        assert "Fig. 7" in out and "| zipf | LDPJoinSketch | 1 | 2,000 |" in out
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "fig7.csv"]
+        assert not (SCRIPT.parent.parent / "EXPERIMENTS.md").exists()
+        with pytest.raises(SystemExit):
+            summarizer.main(["--apply"])
