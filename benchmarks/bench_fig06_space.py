@@ -4,7 +4,8 @@ Paper shape: error falls as space grows; at equal space LDPJoinSketch(+)
 beats Apple-HCMS.  At laptop scale the collision-dominated methods
 (Apple-HCMS with calibrated read-out) still show the falling trend, while
 LDPJoinSketch is already at its LDP-noise floor — more columns spread the
-same reports thinner, so its curve is flat (see EXPERIMENTS.md).  The
+same reports thinner, so its curve is flat (see "Scaled-down stream
+sizes" under README's "Deviations from the paper").  The
 dominance of LDPJoinSketch over Apple-HCMS at every space level is the
 shape assertion here.
 """

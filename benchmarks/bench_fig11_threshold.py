@@ -4,8 +4,8 @@ Paper shape: U-shaped error.  A tiny theta admits noise-level items into
 the frequent set (inflating the removed mass); a huge theta leaves the set
 empty, so no collision mitigation happens.  The sweet spot depends on the
 data scale — at laptop scale it sits around theta ~ 1e-2 rather than the
-paper's 1e-3 (the LDP noise floor is relatively higher; see
-EXPERIMENTS.md).
+paper's 1e-3 (the LDP noise floor is relatively higher; see "Scaled-down
+stream sizes" under README's "Deviations from the paper").
 """
 
 from repro.experiments.figures import fig11_threshold

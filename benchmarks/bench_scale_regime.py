@@ -1,4 +1,7 @@
-"""The scale regime of LDPJoinSketch+ (honesty bench; see EXPERIMENTS.md).
+"""The scale regime of LDPJoinSketch+ (honesty bench).
+
+See "Scaled-down stream sizes" under README's "Deviations from the
+paper" for why the benchmarks run below the paper's stream lengths.
 
 The paper's headline improvement — LDPJoinSketch+ beating LDPJoinSketch —
 lives in the regime where hash-collision error dominates LDP sampling

@@ -4,16 +4,19 @@ The reliability layer threads :func:`repro.reliability.faults.fault_point`
 hooks through the ingest, collect, checkpoint and sweep paths.  With no
 plan armed every hook is a single module-global ``None`` check, so the
 production hot path must not pay for the instrumentation.  This script
-measures the fused n-client ingest (``JoinSession.collect``, the same
-kernel the perf suite's headline rows time) twice:
+times the fused n-client ingest — one ``JoinSession.collect`` of n
+uniform values from ``[0, 2**20)`` at the paper's sketch shape (k = 18,
+m = 1024, epsilon = 4), each run on a fresh session — twice:
 
 * **hooked** — the code as shipped, hooks live, no plan armed;
 * **stubbed** — the importing modules' ``fault_point`` names rebound to a
   literal no-op, i.e. the pre-reliability hot path.
 
-Both legs use best-of-``--repeats`` timing with one untimed warmup (the
-perf suite's noise-floor idiom).  The run fails if the hooked leg is more
-than ``--max-overhead`` (default 2%) slower than the stubbed leg.
+Each leg runs once untimed as a warm-up; then the legs alternate for
+``--repeats`` rounds (default 15) and each keeps its fastest
+``time.perf_counter`` wall time, so a slow outlier on either side is
+ignored.  The run fails if the hooked leg is more than
+``--max-overhead`` (default 2%) slower than the stubbed leg.
 
 Usage::
 
@@ -38,7 +41,7 @@ from repro.reliability.faults import active_plan, disarm
 FULL_N = 1_000_000
 QUICK_N = 100_000
 
-#: The perf suite's sketch shape (the paper's defaults).
+#: The paper's default sketch shape.
 BENCH_K = 18
 BENCH_M = 1024
 BENCH_EPSILON = 4.0

@@ -437,7 +437,45 @@ def _two_stream_ledger(epsilon: float, mechanism: str) -> BudgetLedger:
     return ledger
 
 
-class FAGMSEstimator(BaseEstimator):
+class _TwoStreamEstimator(BaseEstimator):
+    """A method whose server state is one mergeable accumulator per table.
+
+    The serial run and the sharded driver (:mod:`repro.distributed.collectors`)
+    call only its two hooks.  The accumulators are
+    :class:`~repro.mergeable.MergeableState`\\ s, so a shard ships them as
+    one partial and the coordinator restores them.
+    """
+
+    def _collect_streams(self, values_a, values_b, domain_size, epsilon, rng, client_rng=None):
+        """Both tables' accumulators, built and filled: ``(fingerprint, a, b)``.
+
+        ``rng`` draws the published randomness, in the serial order;
+        ``client_rng`` perturbs the clients (``None``: each accumulator's
+        own stream).  The fingerprint pins what two shards must share.
+        """
+        raise NotImplementedError
+
+    def _result(self, acc_a, acc_b, domain_size: int, epsilon: float) -> EstimateResult:
+        """The estimate and its costs, from both tables' accumulators."""
+        raise NotImplementedError
+
+    def _estimate(
+        self,
+        instance: JoinInstance,
+        epsilon: float,
+        seed: RandomState = None,
+    ) -> EstimateResult:
+        start = time.perf_counter()
+        _, acc_a, acc_b = self._collect_streams(
+            instance.values_a, instance.values_b, instance.domain_size, epsilon, ensure_rng(seed)
+        )
+        offline = time.perf_counter() - start
+        return self._result(acc_a, acc_b, instance.domain_size, epsilon).with_costs(
+            offline_seconds=offline
+        )
+
+
+class FAGMSEstimator(_TwoStreamEstimator):
     """Non-private Fast-AGMS — the accuracy ceiling of the sketch family."""
 
     name = "FAGMS"
@@ -447,35 +485,29 @@ class FAGMSEstimator(BaseEstimator):
         self.k = k
         self.m = m
 
-    def _estimate(
-        self,
-        instance: JoinInstance,
-        epsilon: float,
-        seed: RandomState = None,
-    ) -> EstimateResult:
-        """Build two plain Fast-AGMS sketches; ``epsilon`` is ignored."""
-        rng = ensure_rng(seed)
-        start = time.perf_counter()
+    def _collect_streams(self, values_a, values_b, domain_size, epsilon, rng, client_rng=None):
+        """Two plain Fast-AGMS sketches on shared pairs; ``epsilon`` is ignored."""
         pairs = HashPairs(self.k, self.m, rng)
         sketch_a = FastAGMSSketch(pairs)
-        sketch_a.update_batch(instance.values_a)
+        sketch_a.update_batch(values_a)
         sketch_b = FastAGMSSketch(pairs)
-        sketch_b.update_batch(instance.values_b)
-        offline = time.perf_counter() - start
+        sketch_b.update_batch(values_b)
+        return sketch_a.fingerprint(), sketch_a, sketch_b
+
+    def _result(self, acc_a, acc_b, domain_size, epsilon):
         start = time.perf_counter()
-        estimate = sketch_a.inner_product(sketch_b)
+        estimate = acc_a.inner_product(acc_b)
         online = time.perf_counter() - start
-        raw_bits = max(1, math.ceil(math.log2(instance.domain_size)))
+        raw_bits = max(1, math.ceil(math.log2(domain_size)))
         return EstimateResult(
             estimate=estimate,
-            offline_seconds=offline,
             online_seconds=online,
-            uplink_bits=(instance.size_a + instance.size_b) * raw_bits,
-            sketch_bytes=sketch_a.memory_bytes() + sketch_b.memory_bytes(),
+            uplink_bits=int(acc_a.total_weight + acc_b.total_weight) * raw_bits,
+            sketch_bytes=acc_a.memory_bytes() + acc_b.memory_bytes(),
         )
 
 
-class _FrequencyOracleEstimator(BaseEstimator):
+class _FrequencyOracleEstimator(_TwoStreamEstimator):
     """Shared driver for the frequency-vector join baselines.
 
     ``calibrate`` clips negative frequency estimates to zero before the
@@ -494,32 +526,36 @@ class _FrequencyOracleEstimator(BaseEstimator):
     ) -> FrequencyOracle:
         raise NotImplementedError
 
-    def _estimate(
-        self,
-        instance: JoinInstance,
-        epsilon: float,
-        seed: RandomState = None,
-    ) -> EstimateResult:
-        """Collect both attributes' reports, join via frequency vectors."""
-        rng = ensure_rng(seed)
+    def _collect_streams(self, values_a, values_b, domain_size, epsilon, rng, client_rng=None):
+        """One oracle per table, each built from its own derived seed."""
+        from ..distributed.partial import fingerprint_digest
+
+        seeds = [derive_seed(rng), derive_seed(rng)]
+        oracle_a = self._make_oracle(domain_size, epsilon, seeds[0])
+        oracle_b = self._make_oracle(domain_size, epsilon, seeds[1])
+        oracle_a.collect(values_a, rng=client_rng)
+        oracle_b.collect(values_b, rng=client_rng)
+        # Oracle A's fingerprint plus both seeds, the digest keyed right
+        # after the budget as partials have always carried it.
+        fingerprint = {
+            "domain_size": oracle_a.domain_size,
+            "privacy budget (epsilon)": oracle_a.epsilon,
+            "oracle seeds digest": fingerprint_digest(seeds),
+            **oracle_a.fingerprint(),
+        }
+        return fingerprint, oracle_a, oracle_b
+
+    def _result(self, acc_a, acc_b, domain_size, epsilon):
+        """Join via the two frequency vectors."""
         start = time.perf_counter()
-        oracle_a = self._make_oracle(instance.domain_size, epsilon, derive_seed(rng))
-        oracle_b = self._make_oracle(instance.domain_size, epsilon, derive_seed(rng))
-        oracle_a.collect(instance.values_a)
-        oracle_b.collect(instance.values_b)
-        offline = time.perf_counter() - start
-        start = time.perf_counter()
-        estimate = estimate_join_via_frequencies(
-            oracle_a, oracle_b, clip_negative=self.calibrate
-        )
+        estimate = estimate_join_via_frequencies(acc_a, acc_b, clip_negative=self.calibrate)
         online = time.perf_counter() - start
         return EstimateResult(
             estimate=estimate,
-            offline_seconds=offline,
             online_seconds=online,
-            uplink_bits=(instance.size_a * oracle_a.report_bits)
-            + (instance.size_b * oracle_b.report_bits),
-            sketch_bytes=oracle_a.memory_bytes() + oracle_b.memory_bytes(),
+            uplink_bits=acc_a.num_reports * acc_a.report_bits
+            + acc_b.num_reports * acc_b.report_bits,
+            sketch_bytes=acc_a.memory_bytes() + acc_b.memory_bytes(),
             ledger=_two_stream_ledger(epsilon, self.name),
         )
 

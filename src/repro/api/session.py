@@ -54,7 +54,12 @@ from ..core.multiway import (
 )
 from ..core.params import SketchParams
 from ..core.server import LDPJoinSketch
-from ..errors import IncompatibleSketchError, ParameterError, ProtocolError
+from ..errors import (
+    IncompatibleSketchError,
+    ParameterError,
+    ProtocolError,
+    require_merge_compatible,
+)
 from ..hashing import HashPairs
 from ..privacy.budget import BudgetLedger
 from ..reliability.faults import fault_point
@@ -455,37 +460,60 @@ class JoinSession:
             partial.counters[f"stream:{name}:cohorts"] = float(state.cohorts)
         return partial
 
-    def _merge_partial(self, partial: "PartialAggregate") -> "JoinSession":
-        """Fold a shard's :class:`PartialAggregate` into this session."""
-        from ..errors import require_merge_compatible
+    def _merge_partial(
+        self, partial: "PartialAggregate", label: str = "partial"
+    ) -> "JoinSession":
+        """Fold a shard's :class:`PartialAggregate` into this session.
 
+        Every check runs before any state changes, so a refused partial
+        leaves the accumulators and the ledger as they were.  Shard
+        charges describe disjoint cohorts: colliding group names are
+        renamed with ``label`` (probe-until-unique), so parallel — not
+        sequential — composition applies.
+        """
         mine = self.shard_fingerprint()
         require_merge_compatible(
             "join-session partials",
             method=("join-session", partial.method),
             **{key: (mine[key], partial.fingerprint.get(key)) for key in mine},
         )
+        incoming = []
         for name, entry in partial.meta.get("streams", {}).items():
-            attribute = int(entry["attribute"])
-            if entry["kind"] == "end":
-                state: _StreamState = self._end_state(name, attribute)
+            kind, attribute = entry["kind"], int(entry["attribute"])
+            state = self._streams.get(name)
+            if state is None:
+                state = self._new_state(name, kind, attribute)
             else:
-                state = self._middle_state(name, attribute)
+                bound = (
+                    ("end", state.attribute)
+                    if isinstance(state, _EndStream)
+                    else ("middle", state.left_attribute)
+                )
+                if (kind, attribute) != bound:
+                    raise IncompatibleSketchError(
+                        f"stream {name!r} is bound to ({kind} table, attribute "
+                        f"{attribute}) in the partial but to ({bound[0]} table, "
+                        f"attribute {bound[1]}) here"
+                    )
             raw = partial.arrays[f"stream:{name}:raw"]
             if raw.shape != state.raw.shape:
                 raise IncompatibleSketchError(
                     f"partial stream {name!r} accumulator shaped {raw.shape}, "
                     f"expected {state.raw.shape}"
                 )
+            counts = [
+                int(partial.counters[f"stream:{name}:{counter}"])
+                for counter in ("num_reports", "uplink_bits", "cohorts")
+            ]
+            incoming.append((name, state, raw, counts))
+        for name, state, raw, (num_reports, uplink_bits, cohorts) in incoming:
+            self._streams.setdefault(name, state)
             state.raw += raw
-            state.num_reports += int(partial.counters[f"stream:{name}:num_reports"])
-            state.uplink_bits += int(partial.counters[f"stream:{name}:uplink_bits"])
-            state.cohorts += int(partial.counters[f"stream:{name}:cohorts"])
+            state.num_reports += num_reports
+            state.uplink_bits += uplink_bits
+            state.cohorts += cohorts
             state.cached = None
-        # Shard charges describe disjoint cohorts; colliding group names
-        # are renamed (probe-until-unique) so parallel — not sequential —
-        # composition applies, same rule as session merge.
-        self.ledger.absorb(partial.meta.get("charges", []), label="partial")
+        self.ledger.absorb(partial.meta.get("charges", []), label=label)
         self.offline_seconds += float(partial.counters.get("offline_seconds", 0.0))
         return self
 
@@ -495,13 +523,14 @@ class JoinSession:
         ``other`` is either a sibling :class:`JoinSession` or a
         :class:`~repro.distributed.PartialAggregate` produced by
         :meth:`to_partial` (possibly already the reduction of a whole
-        merge tree).  Requires identical :class:`SketchParams` and
-        identical hash pairs for every attribute (the same checks
-        :meth:`LDPJoinSketch.check_mergeable` applies to constructed
-        sketches); raises :class:`IncompatibleSketchError` otherwise.
-        The pre-transform sum is exact, so a merged session is
-        indistinguishable — bit for bit — from one that ingested every
-        batch itself.
+        merge tree); a session merges as its own partial, its charges
+        renamed under its ledger label on collision.  Requires identical
+        :class:`SketchParams`, identical hash pairs for every attribute
+        and, for every stream both sides hold, the same table kind and
+        join attribute; raises :class:`IncompatibleSketchError` otherwise,
+        before any state changes.  The pre-transform sum is exact, so a
+        merged session is indistinguishable — bit for bit — from one that
+        ingested every batch itself.
         """
         from ..distributed.partial import PartialAggregate
 
@@ -515,55 +544,7 @@ class JoinSession:
             raise IncompatibleSketchError(
                 "cannot merge a session with itself (shards are distinct objects)"
             )
-        if self.params != other.params:
-            raise IncompatibleSketchError(
-                f"cannot merge sessions with mismatched parameters (shape or "
-                f"privacy budget): {self.params} vs {other.params}"
-            )
-        if len(self._pairs) != len(other._pairs) or any(
-            a != b for a, b in zip(self._pairs, other._pairs)
-        ):
-            raise IncompatibleSketchError(
-                "sessions use different hash pairs; sharded collection requires "
-                "pairs published once and shared by every shard"
-            )
-        for name, theirs in other._streams.items():
-            mine = self._streams.get(name)
-            if mine is None:
-                mine = self._fresh_like(theirs)
-                self._streams[name] = mine
-            else:
-                if type(mine) is not type(theirs):
-                    raise IncompatibleSketchError(
-                        f"stream {name!r} is an end table in one session and a "
-                        f"middle table in the other"
-                    )
-                their_attr = (
-                    theirs.attribute
-                    if isinstance(theirs, _EndStream)
-                    else theirs.left_attribute
-                )
-                my_attr = (
-                    mine.attribute if isinstance(mine, _EndStream) else mine.left_attribute
-                )
-                if my_attr != their_attr:
-                    raise IncompatibleSketchError(
-                        f"stream {name!r} is bound to different join attributes "
-                        f"({my_attr} vs {their_attr})"
-                    )
-            mine.raw += theirs.raw
-            mine.num_reports += theirs.num_reports
-            mine.uplink_bits += theirs.uplink_bits
-            mine.cohorts += theirs.cohorts
-            mine.cached = None
-        # Disjoint-cohort charges: absorb probes colliding group names
-        # until unique, so merging shards that share a label (sessions
-        # rebuilt via from_dict in separate processes used to reboot with
-        # colliding counter labels) cannot collapse two cohorts into one
-        # group and double the reported worst-case spend.
-        self.ledger.absorb(other.ledger.charges, label=other._label)
-        self.offline_seconds += other.offline_seconds
-        return self
+        return self._merge_partial(other.to_partial(), label=other._label)
 
     # ------------------------------------------------------------------
     # Materialisation
@@ -777,15 +758,7 @@ class JoinSession:
         pairs = [HashPairs.from_dict(p) for p in payload["pairs"]]
         session = cls(params, pairs=pairs)
         for name, entry in payload["streams"].items():
-            k = params.k
-            if entry["kind"] == "end":
-                attribute = int(entry["attribute"])
-                state: _StreamState = _EndStream(attribute, k, pairs[attribute].m)
-            else:
-                attribute = int(entry["attribute"])
-                state = _MiddleStream(
-                    attribute, k, pairs[attribute].m, pairs[attribute + 1].m
-                )
+            state = session._new_state(name, entry["kind"], int(entry["attribute"]))
             raw = decode_array(entry["raw"], np.int64)
             if raw.shape != state.raw.shape:
                 raise ParameterError(
@@ -842,8 +815,7 @@ class JoinSession:
         self.params_for(attribute)  # bounds check
         state = self._streams.get(stream)
         if state is None:
-            state = _EndStream(attribute, self.params.k, self._pairs[attribute].m)
-            self._streams[stream] = state
+            state = self._streams[stream] = self._new_state(stream, "end", attribute)
             return state
         if not isinstance(state, _EndStream):
             raise ProtocolError(f"stream {stream!r} already collects middle tables")
@@ -862,13 +834,7 @@ class JoinSession:
             )
         state = self._streams.get(stream)
         if state is None:
-            state = _MiddleStream(
-                left_attribute,
-                self.params.k,
-                self._pairs[left_attribute].m,
-                self._pairs[left_attribute + 1].m,
-            )
-            self._streams[stream] = state
+            state = self._streams[stream] = self._new_state(stream, "middle", left_attribute)
             return state
         if not isinstance(state, _MiddleStream):
             raise ProtocolError(f"stream {stream!r} already collects end tables")
@@ -880,16 +846,18 @@ class JoinSession:
             )
         return state
 
-    def _fresh_like(self, other: _StreamState) -> _StreamState:
-        if isinstance(other, _EndStream):
-            return _EndStream(
-                other.attribute, self.params.k, self._pairs[other.attribute].m
+    def _new_state(self, stream: str, kind: str, attribute: int) -> _StreamState:
+        """An empty accumulator for a stream of a shard or a payload."""
+        widths = [p.m for p in self._pairs]
+        if kind == "end" and 0 <= attribute < len(widths):
+            return _EndStream(attribute, self.params.k, widths[attribute])
+        if kind == "middle" and 0 <= attribute < len(widths) - 1:
+            return _MiddleStream(
+                attribute, self.params.k, widths[attribute], widths[attribute + 1]
             )
-        return _MiddleStream(
-            other.left_attribute,
-            self.params.k,
-            self._pairs[other.left_attribute].m,
-            self._pairs[other.left_attribute + 1].m,
+        raise IncompatibleSketchError(
+            f"stream {stream!r} is a {kind!r} table on attribute {attribute}, "
+            f"which this session's schema does not have"
         )
 
     def _charge(self, stream: str, state: _StreamState, mechanism: str) -> None:

@@ -32,11 +32,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from ..accumulate import scatter_add_signed_units
-from ..errors import (
-    IncompatibleSketchError,
-    ParameterError,
-    require_merge_compatible,
-)
+from ..errors import IncompatibleSketchError, ParameterError
 from ..hashing import HashPairs
 from ..privacy.response import c_epsilon, flip_probability
 from ..rng import RandomState, ensure_rng, spawn
@@ -146,32 +142,6 @@ class LDPMiddleSketch:
     def memory_bytes(self) -> int:
         """Size of the counter tensor in bytes."""
         return int(self.counts.nbytes)
-
-    def check_mergeable(self, other: "LDPMiddleSketch") -> None:
-        """Raise :class:`IncompatibleSketchError` unless ``other`` shares
-        hash pairs (both attributes) and privacy budget."""
-        if not isinstance(other, LDPMiddleSketch):
-            raise IncompatibleSketchError(
-                f"cannot merge LDPMiddleSketch with {type(other).__name__}"
-            )
-        require_merge_compatible(
-            "middle sketches",
-            **{
-                "hash pairs": (
-                    (self.left_pairs, self.right_pairs),
-                    (other.left_pairs, other.right_pairs),
-                ),
-                "privacy budget (epsilon)": (self.epsilon, other.epsilon),
-            },
-        )
-
-    def merge(self, other: "LDPMiddleSketch") -> "LDPMiddleSketch":
-        """Add ``other``'s counters into this sketch (post-transform sum —
-        valid because the FWHT is linear). Returns self."""
-        self.check_mergeable(other)
-        self.counts += other.counts
-        self.num_reports += other.num_reports
-        return self
 
 
 class LDPCompassProtocol:

@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ..accumulate import scatter_add_signed_units
-from ..errors import IncompatibleSketchError, ParameterError, require_merge_compatible
+from ..errors import IncompatibleSketchError, ParameterError
 from ..hashing import HashPairs
 from ..serialization import decode_array, encode_array
 from ..transform.hadamard import fwht_inplace
@@ -207,37 +207,6 @@ class LDPJoinSketch:
             self.counts - float(per_cell_mass),
             self.num_reports,
         )
-
-    # ------------------------------------------------------------------
-    # Linearity
-    # ------------------------------------------------------------------
-    def check_mergeable(self, other: "LDPJoinSketch") -> None:
-        """Raise :class:`IncompatibleSketchError` unless ``other`` can be
-        merged into this sketch.
-
-        Merging requires everything :meth:`check_compatible` checks (shape
-        and shared hash pairs) *plus* identical :class:`SketchParams` —
-        sketches built under different privacy budgets carry different
-        debiasing scales, so their sum estimates nothing.  Shared by
-        :meth:`merge` and :meth:`repro.api.JoinSession.merge`; the
-        parameter comparison goes through the one
-        :func:`repro.errors.require_merge_compatible` gate every merge
-        path uses.
-        """
-        self.check_compatible(other)
-        require_merge_compatible(
-            "sketches",
-            k=(self.params.k, other.params.k),
-            m=(self.params.m, other.params.m),
-            **{"privacy budget (epsilon)": (self.params.epsilon, other.params.epsilon)},
-        )
-
-    def merge(self, other: "LDPJoinSketch") -> "LDPJoinSketch":
-        """Add ``other``'s counters into this sketch. Returns self."""
-        self.check_mergeable(other)
-        self.counts += other.counts
-        self.num_reports += other.num_reports
-        return self
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -22,9 +22,9 @@ Each protocol family has one driver:
 
 * ``join-session`` methods (LDPJoinSketch, LDP-COMPASS) shard through
   :meth:`JoinSession.to_partial`;
-* frequency-oracle baselines (k-RR, OLH, FLH, Apple-HCMS) shard the
-  oracle server state (count tables / per-user stores);
-* the non-private FAGMS baseline shards its linear sketch counters;
+* the frequency-oracle baselines (k-RR, OLH, FLH, Apple-HCMS) and the
+  non-private FAGMS baseline hold one mergeable accumulator per table;
+  their shards ship both accumulators' own partials as one;
 * LDPJoinSketch+ runs the faithful *two-round* distributed protocol
   through the protocol's own phase steps
   (:class:`~repro.core.LDPJoinSketchPlus`): shards merge phase-1
@@ -41,10 +41,10 @@ shard.
 from __future__ import annotations
 
 import copy
-import math
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -60,7 +60,6 @@ from ..privacy.budget import PrivacySpec
 from ..reliability.faults import FaultPlan, as_fault_plan, fault_point, injected
 from ..reliability.retry import DEFAULT_RETRYABLE, RetryPolicy, as_retry_policy
 from ..rng import RandomState, derive_seed, ensure_rng, spawn
-from ..sketches import FastAGMSSketch
 from ..validation import as_value_array, require_positive_int
 from .merge import merge_sequential, merge_tree
 from .partial import PartialAggregate, fingerprint_digest
@@ -74,6 +73,9 @@ _MERGERS = {"tree": merge_tree, "sequential": merge_sequential}
 #: Failures that mean "this shard's partial is gone" (degradable), as
 #: opposed to configuration errors, which always propagate.
 _SHARD_LOSS_ERRORS = (RetryExhaustedError,) + DEFAULT_RETRYABLE
+
+#: An empty stream: builds a run's accumulators without collecting.
+_NO_VALUES = np.zeros(0, dtype=np.int64)
 
 
 def _reducer(merge: str) -> Callable[..., PartialAggregate]:
@@ -306,18 +308,6 @@ class ShardRun:
 # ======================================================================
 # JoinSession family (LDPJoinSketch, LDP-COMPASS)
 # ======================================================================
-class _SessionContext:
-    __slots__ = ("params", "pairs", "query", "splits_a", "splits_b", "shard_seeds")
-
-    def __init__(self, params, pairs, query, splits_a, splits_b, shard_seeds):
-        self.params = params
-        self.pairs = pairs
-        self.query = query
-        self.splits_a = splits_a
-        self.splits_b = splits_b
-        self.shard_seeds = shard_seeds
-
-
 class _SessionDriver:
     """LDPJoinSketch / LDP-COMPASS through ``JoinSession`` partials."""
 
@@ -339,22 +329,22 @@ class _SessionDriver:
             shard_seeds = ShardPlanner(
                 num_shards, strategy=strategy, seed=derive_seed(rng)
             ).shard_seeds()
-        return _SessionContext(
-            params,
-            pairs,
-            self.query,
-            planner.split(as_value_array(instance.values_a, "values_a")),
-            planner.split(as_value_array(instance.values_b, "values_b")),
-            shard_seeds,
+        return SimpleNamespace(
+            params=params,
+            pairs=pairs,
+            query=self.query,
+            splits_a=planner.split(as_value_array(instance.values_a, "values_a")),
+            splits_b=planner.split(as_value_array(instance.values_b, "values_b")),
+            shard_seeds=shard_seeds,
         )
 
-    def collect(self, ctx: _SessionContext, s: int) -> PartialAggregate:
+    def collect(self, ctx: SimpleNamespace, s: int) -> PartialAggregate:
         shard = JoinSession(ctx.params, pairs=ctx.pairs, seed=ctx.shard_seeds[s])
         shard.collect("A", ctx.splits_a[s])
         shard.collect("B", ctx.splits_b[s])
         return shard.to_partial()
 
-    def finalize(self, ctx: _SessionContext, merged: PartialAggregate) -> EstimateResult:
+    def finalize(self, ctx: SimpleNamespace, merged: PartialAggregate) -> EstimateResult:
         coordinator = JoinSession(ctx.params, pairs=ctx.pairs)
         coordinator.merge(merged)
         if ctx.query == "chain":
@@ -366,257 +356,85 @@ class _SessionDriver:
 
 
 # ======================================================================
-# Non-private FAGMS baseline
+# Two-stream accumulators (FAGMS, k-RR, OLH, FLH, Apple-HCMS)
 # ======================================================================
-class _FagmsContext:
-    __slots__ = ("pairs", "splits_a", "splits_b", "domain_size")
-
-    def __init__(self, pairs, splits_a, splits_b, domain_size):
-        self.pairs = pairs
-        self.splits_a = splits_a
-        self.splits_b = splits_b
-        self.domain_size = domain_size
+def _stream_partial(merged: PartialAggregate, label: str, accumulator) -> PartialAggregate:
+    """Stream ``label``'s share of a merged run partial, in ``accumulator``'s form."""
+    own = accumulator.to_partial()
+    own.arrays = {name: merged.arrays[f"{label}:{name}"] for name in own.arrays}
+    own.counters = {key: merged.counters[f"{label}:{key}"] for key in own.counters}
+    return own
 
 
-class _FagmsDriver:
-    """Fast-AGMS: deterministic linear updates, partials are counter sums."""
+class _TwoStreamDriver:
+    """A method with one mergeable accumulator per table, through its own hooks.
 
-    def prepare(self, estimator, instance, epsilon, num_shards, seed, strategy):
-        rng = ensure_rng(seed)
-        pairs = HashPairs(estimator.k, estimator.m, rng)  # serial draw order
-        planner = ShardPlanner(num_shards, strategy=strategy)
-        return _FagmsContext(
-            pairs,
-            planner.split(as_value_array(instance.values_a, "values_a")),
-            planner.split(as_value_array(instance.values_b, "values_b")),
-            instance.domain_size,
-        )
-
-    def _fingerprint(self, ctx: _FagmsContext) -> dict:
-        return {
-            "estimator": "fagms",
-            "k": ctx.pairs.k,
-            "m": ctx.pairs.m,
-            "hash pairs digest": fingerprint_digest(ctx.pairs.to_dict()),
-        }
-
-    def collect(self, ctx: _FagmsContext, s: int) -> PartialAggregate:
-        partial = PartialAggregate("fagms", self._fingerprint(ctx))
-        for label, values in (("A", ctx.splits_a[s]), ("B", ctx.splits_b[s])):
-            sketch = FastAGMSSketch(ctx.pairs)
-            sketch.update_batch(values)
-            partial.add_array(f"{label}:counts", sketch.counts)
-            partial.counters[f"{label}:num_reports"] = float(values.size)
-        return partial
-
-    def finalize(self, ctx: _FagmsContext, merged: PartialAggregate) -> EstimateResult:
-        sketches = {}
-        for label in ("A", "B"):
-            sketch = FastAGMSSketch(ctx.pairs)
-            sketch.counts = merged.arrays[f"{label}:counts"].copy()
-            sketch.total_weight = merged.counters[f"{label}:num_reports"]
-            sketches[label] = sketch
-        start = time.perf_counter()
-        estimate = sketches["A"].inner_product(sketches["B"])
-        online = time.perf_counter() - start
-        n = int(
-            merged.counters["A:num_reports"] + merged.counters["B:num_reports"]
-        )
-        raw_bits = max(1, math.ceil(math.log2(ctx.domain_size)))
-        return EstimateResult(
-            estimate=estimate,
-            online_seconds=online,
-            uplink_bits=n * raw_bits,
-            sketch_bytes=sketches["A"].memory_bytes() + sketches["B"].memory_bytes(),
-        )
-
-
-# ======================================================================
-# Frequency-oracle baselines (k-RR, OLH, FLH, Apple-HCMS)
-# ======================================================================
-#: Mergeable server state per oracle class: ``{suffix: (attr, op)}``.
-#: ``attr`` is the oracle attribute holding the array (lists of arrays —
-#: OLH's per-user stores — are consolidated and merge by concatenation).
-_ORACLE_STATE: Dict[str, Dict[str, Tuple[str, str]]] = {
-    "krr": {"report_counts": ("_report_counts", "sum")},
-    "flh": {"counts": ("_counts", "sum")},
-    "hcms": {"raw": ("_raw", "sum")},
-    "olh": {
-        "hash_a": ("_hash_a", "concat"),
-        "hash_b": ("_hash_b", "concat"),
-        "reports": ("_reports", "concat"),
-    },
-}
-
-
-def _jsonable_state(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable_state(v) for v in value]
-    if hasattr(value, "to_dict"):
-        return value.to_dict()
-    return value
-
-
-def _oracle_extra_fingerprint(oracle) -> dict:
-    """Published state the shards must share, straight from the oracle.
-
-    Derived from :meth:`FrequencyOracle._merge_fields` — the same single
-    source of truth the in-memory merge gate validates — so the wire
-    fingerprint can never drift from the in-memory checks: a new
-    compatibility field added to an oracle's ``_merge_fields`` is
-    fingerprinted here automatically.  Array-valued state (hash pools,
-    hash pairs) is digested; scalars travel as-is.
+    The driver calls only the two hooks the serial ``_estimate`` calls.
+    ``_collect_streams`` runs on a copy of the master generator taken
+    before the published randomness is drawn, so every shard (and the
+    coordinator) rebuilds the same hash pools and pairs; each shard ships
+    both accumulators' partials as one, their arrays and counters under
+    ``A:`` / ``B:``.  The coordinator restores both accumulators from the
+    merged partial and hands them to ``_result``.
     """
-    extra = {}
-    for name, (mine, _) in oracle._merge_fields(oracle).items():
-        if isinstance(mine, np.ndarray) or (
-            isinstance(mine, (list, tuple))
-            and any(
-                isinstance(v, np.ndarray) or hasattr(v, "to_dict") for v in mine
-            )
-        ) or hasattr(mine, "to_dict"):
-            extra[f"{name} digest"] = fingerprint_digest(_jsonable_state(mine))
-        else:
-            extra[name] = mine
-    return extra
-
-
-class _OracleContext:
-    __slots__ = (
-        "key",
-        "estimator",
-        "domain_size",
-        "epsilon",
-        "oracle_seeds",
-        "splits_a",
-        "splits_b",
-        "shard_seeds",
-        "fingerprint",
-    )
-
-    def __init__(self, **attrs):
-        for name, value in attrs.items():
-            setattr(self, name, value)
-
-
-class _OracleDriver:
-    """Shards a ``_FrequencyOracleEstimator`` method's server state."""
 
     def __init__(self, key: str) -> None:
         self.key = key
 
-    def _make(self, ctx: _OracleContext, seed):
-        return ctx.estimator._make_oracle(ctx.domain_size, ctx.epsilon, seed)
+    def _collect(self, ctx: SimpleNamespace, values_a, values_b, client_rng=None):
+        rng = copy.deepcopy(ctx.published)
+        return ctx.estimator._collect_streams(
+            values_a, values_b, ctx.domain_size, ctx.epsilon, rng, client_rng
+        )
 
     def prepare(self, estimator, instance, epsilon, num_shards, seed, strategy):
         rng = ensure_rng(seed)
-        # Serial draw order: one derived oracle seed per attribute.
-        oracle_seeds = (derive_seed(rng), derive_seed(rng))
+        published = copy.deepcopy(rng)
+        # The serial draws advance the master stream before the shard seeds.
+        fingerprint, _, _ = estimator._collect_streams(
+            _NO_VALUES, _NO_VALUES, instance.domain_size, epsilon, rng
+        )
         planner = ShardPlanner(num_shards, strategy=strategy)
         if num_shards == 1:
-            shard_seeds: List = [None]  # each oracle uses its own stream
+            shard_seeds: List = [None]  # each accumulator uses its own stream
         else:
             shard_seeds = ShardPlanner(
                 num_shards, strategy=strategy, seed=derive_seed(rng)
             ).shard_seeds()
-        ctx = _OracleContext(
-            key=self.key,
+        return SimpleNamespace(
             estimator=estimator,
             domain_size=instance.domain_size,
-            epsilon=float(epsilon),
-            oracle_seeds=oracle_seeds,
+            epsilon=epsilon,
+            published=published,
+            fingerprint={"estimator": self.key, **fingerprint},
             splits_a=planner.split(as_value_array(instance.values_a, "values_a")),
             splits_b=planner.split(as_value_array(instance.values_b, "values_b")),
             shard_seeds=shard_seeds,
-            fingerprint=None,
         )
-        probe = self._make(ctx, oracle_seeds[0])
-        ctx.fingerprint = {
-            "estimator": self.key,
-            "domain_size": ctx.domain_size,
-            "privacy budget (epsilon)": ctx.epsilon,
-            "oracle seeds digest": fingerprint_digest(list(oracle_seeds)),
-            **_oracle_extra_fingerprint(probe),
-        }
-        return ctx
 
-    def _state_arrays(self, oracle) -> List[Tuple[str, np.ndarray, str]]:
-        entries = []
-        for suffix, (attr, op) in _ORACLE_STATE[self.key].items():
-            value = getattr(oracle, attr)
-            if isinstance(value, list):  # OLH per-user stores
-                value = (
-                    np.concatenate(value)
-                    if value
-                    else np.zeros(0, dtype=np.int64)
-                )
-            entries.append((suffix, value, op))
-        return entries
-
-    def collect(self, ctx: _OracleContext, s: int) -> PartialAggregate:
-        shard_rng = (
-            None if ctx.shard_seeds[s] is None else ensure_rng(ctx.shard_seeds[s])
-        )
+    def collect(self, ctx: SimpleNamespace, s: int) -> PartialAggregate:
+        seed = ctx.shard_seeds[s]
+        client_rng = None if seed is None else ensure_rng(seed)
+        _, acc_a, acc_b = self._collect(ctx, ctx.splits_a[s], ctx.splits_b[s], client_rng)
         partial = PartialAggregate(self.key, ctx.fingerprint)
-        for label, seed, values in (
-            ("A", ctx.oracle_seeds[0], ctx.splits_a[s]),
-            ("B", ctx.oracle_seeds[1], ctx.splits_b[s]),
-        ):
-            oracle = self._make(ctx, seed)
-            oracle.collect(values, rng=shard_rng)
-            for suffix, array, op in self._state_arrays(oracle):
-                partial.add_array(f"{label}:{suffix}", array, op=op)
-            partial.counters[f"{label}:num_reports"] = float(oracle.num_reports)
+        for label, accumulator in (("A", acc_a), ("B", acc_b)):
+            own = accumulator.to_partial()
+            for name, array in own.arrays.items():
+                partial.add_array(f"{label}:{name}", array, op=own.ops[name])
+            for key, value in own.counters.items():
+                partial.counters[f"{label}:{key}"] = value
         return partial
 
-    def _restore(self, ctx: _OracleContext, merged: PartialAggregate, label: str):
-        oracle = self._make(ctx, ctx.oracle_seeds[0 if label == "A" else 1])
-        for suffix, (attr, op) in _ORACLE_STATE[self.key].items():
-            array = merged.arrays[f"{label}:{suffix}"].copy()
-            if op == "concat":
-                setattr(oracle, attr, [array])
-            else:
-                setattr(oracle, attr, array)
-        if hasattr(oracle, "_dirty"):
-            oracle._dirty = True
-        oracle.num_reports = int(merged.counters[f"{label}:num_reports"])
-        return oracle
-
-    def finalize(self, ctx: _OracleContext, merged: PartialAggregate) -> EstimateResult:
-        from ..api.estimators import _two_stream_ledger
-        from ..mechanisms import estimate_join_via_frequencies
-
-        oracle_a = self._restore(ctx, merged, "A")
-        oracle_b = self._restore(ctx, merged, "B")
-        start = time.perf_counter()
-        estimate = estimate_join_via_frequencies(
-            oracle_a, oracle_b, clip_negative=ctx.estimator.calibrate
-        )
-        online = time.perf_counter() - start
-        return EstimateResult(
-            estimate=estimate,
-            online_seconds=online,
-            uplink_bits=oracle_a.num_reports * oracle_a.report_bits
-            + oracle_b.num_reports * oracle_b.report_bits,
-            sketch_bytes=oracle_a.memory_bytes() + oracle_b.memory_bytes(),
-            ledger=_two_stream_ledger(ctx.epsilon, ctx.estimator.name),
-        )
+    def finalize(self, ctx: SimpleNamespace, merged: PartialAggregate) -> EstimateResult:
+        _, acc_a, acc_b = self._collect(ctx, _NO_VALUES, _NO_VALUES)
+        for label, accumulator in (("A", acc_a), ("B", acc_b)):
+            accumulator.restore(_stream_partial(merged, label, accumulator))
+        return ctx.estimator._result(acc_a, acc_b, ctx.domain_size, ctx.epsilon)
 
 
 # ======================================================================
 # LDPJoinSketch+ — the two-round distributed protocol
 # ======================================================================
-class _PlusContext:
-    __slots__ = ("splits_a", "splits_b", "shard_seeds")
-
-    def __init__(self, splits_a, splits_b, shard_seeds):
-        self.splits_a = splits_a
-        self.splits_b = splits_b
-        self.shard_seeds = shard_seeds
-
-
 class _PlusDriver:
     """Faithful distributed LDPJoinSketch+: merge, broadcast FI, merge again.
 
@@ -640,7 +458,7 @@ class _PlusDriver:
         if num_shards == 1:
             # Identity plan: the serial two-phase run *is* the single
             # aggregator.
-            ctx = _PlusContext(None, None, [seed])
+            ctx = SimpleNamespace(splits_a=None, splits_b=None, shard_seeds=[seed])
             (result,) = collect_round(
                 lambda s: protocol.estimate(
                     instance.values_a, instance.values_b, instance.domain_size, seed
@@ -658,8 +476,10 @@ class _PlusDriver:
         shard_seeds = ShardPlanner(
             num_shards, strategy=strategy, seed=derive_seed(rng)
         ).shard_seeds()
-        ctx = _PlusContext(
-            planner.split(arr_a), planner.split(arr_b), [ensure_rng(s) for s in shard_seeds]
+        ctx = SimpleNamespace(
+            splits_a=planner.split(arr_a),
+            splits_b=planner.split(arr_b),
+            shard_seeds=[ensure_rng(s) for s in shard_seeds],
         )
         fingerprint = {
             "estimator": PLUS_METHOD,
@@ -714,17 +534,19 @@ class _PlusDriver:
 # ======================================================================
 def _driver_for(estimator):
     """The sharding driver of a registry estimator (by canonical key)."""
+    # Imported here: the estimators pull in every mechanism and dataset,
+    # which the service, a user of this package, never needs.
+    from ..api.estimators import _TwoStreamEstimator
+
     key = resolve_estimator(estimator.name)
     if key == "ldp-join-sketch":
         return key, _SessionDriver("join")
     if key == "compass":
         return key, _SessionDriver("chain")
-    if key == "fagms":
-        return key, _FagmsDriver()
-    if key in _ORACLE_STATE:
-        return key, _OracleDriver(key)
     if key == "ldp-join-sketch-plus":
         return key, _PlusDriver()
+    if isinstance(estimator, _TwoStreamEstimator):
+        return key, _TwoStreamDriver(key)
     raise ParameterError(
         f"estimator {estimator.name!r} has no sharded-collection driver"
     )

@@ -201,9 +201,10 @@ class PartialAggregate:
     def check_mergeable(self, other: "PartialAggregate") -> None:
         """Raise :class:`~repro.errors.IncompatibleSketchError` on mismatch.
 
-        Validates the format version, the method and every fingerprint
-        field — wrong seed (digest), wrong ``m``, wrong ``epsilon`` and
-        friends are all refused before any state is touched.
+        Validates the method, every fingerprint field — wrong seed
+        (digest), wrong ``m``, wrong ``epsilon`` and friends — every
+        shared array's op, dtype and shape, and every meta annotation
+        both sides carry: all before :meth:`merge` touches any state.
         """
         if not isinstance(other, PartialAggregate):
             raise IncompatibleSketchError(
@@ -239,6 +240,30 @@ class PartialAggregate:
                     f"cannot merge {self.method} partials: array {name!r} shaped "
                     f"{mine.shape} vs {theirs.shape}"
                 )
+        for key, value in other.meta.items():
+            mine = self.meta.get(key)
+            if key == "charges" or mine is None:
+                continue
+            if isinstance(mine, dict) and isinstance(value, dict):
+                # Schema maps (e.g. the session's per-stream descriptors)
+                # union: a shard that never saw stream B still merges with
+                # one that did.  Conflicting descriptors for the same
+                # entry are refused — summed arrays would be garbage.
+                for sub_key, sub_value in value.items():
+                    if sub_key in mine and mine[sub_key] != sub_value:
+                        raise IncompatibleSketchError(
+                            f"cannot merge {self.method} partials: meta "
+                            f"{key}[{sub_key!r}] disagrees "
+                            f"({mine[sub_key]!r} vs {sub_value!r})"
+                        )
+            elif mine != value:
+                # Scalar annotations must agree too: silently keeping one
+                # side would let e.g. partials of two different protocol
+                # rounds fuse into a valid-looking aggregate.
+                raise IncompatibleSketchError(
+                    f"cannot merge {self.method} partials: meta {key!r} "
+                    f"disagrees ({mine!r} vs {value!r})"
+                )
 
     def merge(self, other: "PartialAggregate") -> "PartialAggregate":
         """Fold ``other`` into this partial (in place). Returns self.
@@ -246,7 +271,8 @@ class PartialAggregate:
         Pure adds / concatenations on the raw accumulators — exact for
         integer arrays, order-preserving for per-user stores — so any
         merge topology over the same partials produces byte-identical
-        state.
+        state.  :meth:`check_mergeable` validates everything first, so a
+        refused merge leaves this partial untouched.
         """
         self.check_mergeable(other)
         for name, theirs in other.arrays.items():
@@ -276,28 +302,9 @@ class PartialAggregate:
                 # must not see those edits.  Meta is JSON-compatible by
                 # contract, so the JSON round-trip is a faithful copy.
                 self.meta[key] = json.loads(json.dumps(value))
-            elif isinstance(mine, dict) and isinstance(value, dict):
-                # Schema maps (e.g. the session's per-stream descriptors)
-                # union: a shard that never saw stream B still merges with
-                # one that did.  Conflicting descriptors for the same
-                # entry are refused — summed arrays would be garbage.
+            elif isinstance(mine, dict):
                 for sub_key, sub_value in value.items():
-                    if sub_key not in mine:
-                        mine[sub_key] = sub_value
-                    elif mine[sub_key] != sub_value:
-                        raise IncompatibleSketchError(
-                            f"cannot merge {self.method} partials: meta "
-                            f"{key}[{sub_key!r}] disagrees "
-                            f"({mine[sub_key]!r} vs {sub_value!r})"
-                        )
-            elif mine != value:
-                # Scalar annotations must agree too: silently keeping one
-                # side would let e.g. partials of two different protocol
-                # rounds fuse into a valid-looking aggregate.
-                raise IncompatibleSketchError(
-                    f"cannot merge {self.method} partials: meta {key!r} "
-                    f"disagrees ({mine!r} vs {value!r})"
-                )
+                    mine.setdefault(sub_key, sub_value)
         return self
 
     # ------------------------------------------------------------------

@@ -384,12 +384,11 @@ def require_merge_compatible(kind: str, **attributes: Any) -> None:
 
     ``attributes`` maps a parameter name to a ``(mine, theirs)`` pair; the
     first mismatching pair raises.  This is the single merge-compatibility
-    gate shared by :meth:`repro.core.server.LDPJoinSketch.check_mergeable`,
-    :meth:`repro.mechanisms.base.FrequencyOracle.merge`,
-    :meth:`repro.api.JoinSession.merge` and the distributed
-    :class:`~repro.distributed.PartialAggregate` — every path rejects
-    mismatched k/m/epsilon/hash-seed combinations with the same message
-    shape.
+    gate shared by :meth:`repro.mergeable.MergeableState.merge` (the
+    frequency oracles and Fast-AGMS), :meth:`repro.api.JoinSession.merge`
+    and the distributed :class:`~repro.distributed.PartialAggregate` —
+    every path rejects mismatched k/m/epsilon/hash-seed combinations with
+    the same message shape.
 
     Scalars are compared with ``==``; ndarrays (and containers of them,
     e.g. an FLH hash pool or a hash-pair family) with

@@ -14,6 +14,9 @@ Subclass contract
 ``frequencies(candidates)`` returns estimated *counts* (not proportions)
 and must be unbiased for every published mechanism here; ``report_bits``
 is the per-client uplink cost used by the Fig. 7 experiment.
+``MERGEABLE`` names the attributes holding the server state and
+``published()`` the configuration shards must share; from those the base
+class derives the partial, the restore, the fingerprint and ``merge``.
 """
 
 from __future__ import annotations
@@ -23,14 +26,15 @@ from typing import Iterable
 
 import numpy as np
 
-from ..errors import IncompatibleSketchError, ProtocolError, require_merge_compatible
+from ..errors import ProtocolError
+from ..mergeable import MergeableState
 from ..rng import RandomState, ensure_rng
 from ..validation import require_domain_values, require_positive_float, require_positive_int
 
 __all__ = ["FrequencyOracle", "estimate_join_via_frequencies"]
 
 
-class FrequencyOracle(abc.ABC):
+class FrequencyOracle(MergeableState, abc.ABC):
     """Base class of every LDP frequency oracle."""
 
     #: Human-readable mechanism name (used by reports and figures).
@@ -41,6 +45,9 @@ class FrequencyOracle(abc.ABC):
         self.epsilon = require_positive_float("epsilon", epsilon)
         self._rng = ensure_rng(seed)
         self.num_reports = 0
+        # Read-side state derived from the mergeable arrays (an FWHT'd
+        # sketch); cleared whenever those arrays change.
+        self._cache = None
 
     # ------------------------------------------------------------------
     # Client side
@@ -53,6 +60,7 @@ class FrequencyOracle(abc.ABC):
         generator = self._rng if rng is None else ensure_rng(rng)
         self._collect(arr, generator)
         self.num_reports += int(arr.size)
+        self._cache = None
 
     @abc.abstractmethod
     def _collect(self, values: np.ndarray, rng: np.random.Generator) -> None:
@@ -61,49 +69,22 @@ class FrequencyOracle(abc.ABC):
     # ------------------------------------------------------------------
     # Sharding
     # ------------------------------------------------------------------
-    def merge(self, other: "FrequencyOracle") -> "FrequencyOracle":
-        """Fold another shard's collected state into this oracle.
-
-        Server-side state of every oracle here is a linear aggregate of
-        its reports, so shards that collected disjoint cohorts under the
-        same configuration merge losslessly — the sharded-collection
-        property :class:`repro.api.JoinSession` relies on, extended to
-        the baselines.  Raises :class:`IncompatibleSketchError` on any
-        mismatch (type, domain, budget, or mechanism-specific
-        configuration — every oracle's extra requirements are declared
-        via :meth:`_merge_fields` and validated through the shared
-        :func:`repro.errors.require_merge_compatible` gate, so no
-        subclass can forget a check).  Returns self.
-        """
-        if type(other) is not type(self):
-            raise IncompatibleSketchError(
-                f"cannot merge {type(self).__name__} with {type(other).__name__}"
-            )
-        fields = {
-            "domain_size": (self.domain_size, other.domain_size),
-            "privacy budget (epsilon)": (self.epsilon, other.epsilon),
+    # Every oracle's server state is a linear aggregate of its reports;
+    # subclasses declare it in ``MERGEABLE`` and extend :meth:`published`.
+    def published(self) -> dict:
+        """Configuration every shard must share: domain, budget, and each
+        mechanism's shape parameters and published randomness."""
+        return {
+            "domain_size": self.domain_size,
+            "privacy budget (epsilon)": self.epsilon,
         }
-        fields.update(self._merge_fields(other))
-        require_merge_compatible(f"{type(self).__name__} shards", **fields)
-        self._merge(other)
-        self.num_reports += other.num_reports
-        return self
 
-    def _merge_fields(self, other: "FrequencyOracle") -> dict:
-        """Mechanism-specific ``{name: (mine, theirs)}`` compatibility pairs.
+    def _counters(self) -> dict:
+        return {"num_reports": float(self.num_reports)}
 
-        Subclasses with published randomness (hash pools, hash pairs) or
-        extra shape parameters (``g``, ``pool_size``, ``k``, ``m``) return
-        them here; the base :meth:`merge` validates everything in one
-        place before any state is touched.
-        """
-        return {}
-
-    def _merge(self, other: "FrequencyOracle") -> None:
-        """Mechanism-specific state merge (``num_reports`` handled by caller)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support sharded merging"
-        )
+    def _restored(self, counters: dict) -> None:
+        self.num_reports = int(counters["num_reports"])
+        self._cache = None
 
     # ------------------------------------------------------------------
     # Server side

@@ -38,6 +38,7 @@ class FLHOracle(FrequencyOracle):
     """FLH frequency oracle with a finite shared hash pool."""
 
     name = "FLH"
+    MERGEABLE = {"_counts": "sum"}
 
     def __init__(
         self,
@@ -72,18 +73,13 @@ class FLHOracle(FrequencyOracle):
         reports = grr_perturb(hashed, self.g, self.epsilon, rng)
         scatter_count(self._counts, (kappa, reports))
 
-    def _merge_fields(self, other: "FLHOracle") -> dict:
+    def published(self) -> dict:
         return {
-            "g": (self.g, other.g),
-            "pool_size": (self.pool_size, other.pool_size),
-            "hash pool": (
-                (self._pool_a, self._pool_b),
-                (other._pool_a, other._pool_b),
-            ),
+            **super().published(),
+            "g": self.g,
+            "pool_size": self.pool_size,
+            "hash pool": (self._pool_a, self._pool_b),
         }
-
-    def _merge(self, other: "FLHOracle") -> None:
-        self._counts += other._counts
 
     def _frequencies(self, candidates: np.ndarray) -> np.ndarray:
         # Same support-scan kernel as OLH (the shared local-hashing

@@ -47,6 +47,7 @@ class HadamardResponseOracle(FrequencyOracle):
     """Hadamard Response frequency oracle over ``[0, domain_size)``."""
 
     name = "HR"
+    MERGEABLE = {"_report_histogram": "sum"}
 
     def __init__(self, domain_size: int, epsilon: float, seed: RandomState = None) -> None:
         super().__init__(domain_size, epsilon, seed)
@@ -76,9 +77,6 @@ class HadamardResponseOracle(FrequencyOracle):
             out[pending[matched]] = draws[matched]
             pending = pending[~matched]
         self._report_histogram += np.bincount(out, minlength=self.order)
-
-    def _merge(self, other: "HadamardResponseOracle") -> None:
-        self._report_histogram += other._report_histogram
 
     # ------------------------------------------------------------------
     # Server side

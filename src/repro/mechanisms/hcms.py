@@ -36,6 +36,7 @@ class HCMSOracle(FrequencyOracle):
     """Apple-HCMS frequency oracle with a ``(k, m)`` sketch."""
 
     name = "Apple-HCMS"
+    MERGEABLE = {"_raw": "sum"}
 
     def __init__(
         self,
@@ -51,8 +52,6 @@ class HCMSOracle(FrequencyOracle):
         self.m = require_power_of_two("m", m)
         self.pairs = HashPairs(self.k, self.m, spawn(self._rng))
         self._raw = np.zeros((self.k, self.m), dtype=np.int64)
-        self._dirty = False
-        self._transformed = np.zeros((self.k, self.m), dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Client + aggregation
@@ -67,25 +66,15 @@ class HCMSOracle(FrequencyOracle):
         ys = np.where(flips, -w, w)
         # Integer accumulation; the debiasing scale is applied in _sketch().
         scatter_add_signed_units(self._raw, (rows, cols), ys)
-        self._dirty = True
 
-    def _merge_fields(self, other: "HCMSOracle") -> dict:
-        return {
-            "k": (self.k, other.k),
-            "m": (self.m, other.m),
-            "hash pairs": (self.pairs, other.pairs),
-        }
-
-    def _merge(self, other: "HCMSOracle") -> None:
-        self._raw += other._raw
-        self._dirty = True
+    def published(self) -> dict:
+        return {**super().published(), "k": self.k, "m": self.m, "hash pairs": self.pairs}
 
     def _sketch(self) -> np.ndarray:
-        if self._dirty:
+        if self._cache is None:
             scale = self.k * c_epsilon(self.epsilon)
-            self._transformed = fwht(self._raw.astype(np.float64) * scale)
-            self._dirty = False
-        return self._transformed
+            self._cache = fwht(self._raw.astype(np.float64) * scale)
+        return self._cache
 
     # ------------------------------------------------------------------
     # Server read-out

@@ -29,6 +29,7 @@ class KRROracle(FrequencyOracle):
     """k-RR frequency oracle over ``[0, domain_size)``."""
 
     name = "k-RR"
+    MERGEABLE = {"_report_counts": "sum"}
 
     def __init__(self, domain_size: int, epsilon: float, seed: RandomState = None) -> None:
         super().__init__(domain_size, epsilon, seed)
@@ -38,9 +39,6 @@ class KRROracle(FrequencyOracle):
     def _collect(self, values: np.ndarray, rng: np.random.Generator) -> None:
         reports = grr_perturb(values, self.domain_size, self.epsilon, rng)
         self._report_counts += np.bincount(reports, minlength=self.domain_size)
-
-    def _merge(self, other: "KRROracle") -> None:
-        self._report_counts += other._report_counts
 
     def _frequencies(self, candidates: np.ndarray) -> np.ndarray:
         observed = self._report_counts[candidates].astype(np.float64)

@@ -25,6 +25,7 @@ class LDPJoinSketchOracle(FrequencyOracle):
     """Frequency oracle backed by an LDPJoinSketch."""
 
     name = "LDPJoinSketch"
+    MERGEABLE = {"_raw": "sum"}
 
     def __init__(
         self,
@@ -39,34 +40,27 @@ class LDPJoinSketchOracle(FrequencyOracle):
         self.params = SketchParams(k, m, epsilon)
         self.pairs = HashPairs(k, m, spawn(self._rng))
         self._raw = np.zeros((k, m), dtype=np.int64)
-        self._dirty = False
-        self._sketch: LDPJoinSketch = LDPJoinSketch(self.params, self.pairs)
 
     def _collect(self, values: np.ndarray, rng: np.random.Generator) -> None:
         # Fused encode→accumulate: no O(n) report arrays, one bincount
         # pass per chunk; the debiasing scale is applied in sketch().
         encode_reports_into(values, self.params, self.pairs, self._raw, rng)
-        self._dirty = True
 
-    def _merge_fields(self, other: "LDPJoinSketchOracle") -> dict:
+    def published(self) -> dict:
         return {
-            "k": (self.params.k, other.params.k),
-            "m": (self.params.m, other.params.m),
-            "hash pairs": (self.pairs, other.pairs),
+            **super().published(),
+            "k": self.params.k,
+            "m": self.params.m,
+            "hash pairs": self.pairs,
         }
-
-    def _merge(self, other: "LDPJoinSketchOracle") -> None:
-        self._raw += other._raw
-        self._dirty = True
 
     def sketch(self) -> LDPJoinSketch:
         """The constructed (transformed) sketch for direct use."""
-        if self._dirty:
-            self._sketch = LDPJoinSketch.from_raw(
+        if self._cache is None:
+            self._cache = LDPJoinSketch.from_raw(
                 self.params, self.pairs, self._raw, self.num_reports
             )
-            self._dirty = False
-        return self._sketch
+        return self._cache
 
     def _frequencies(self, candidates: np.ndarray) -> np.ndarray:
         return self.sketch().frequencies(candidates)

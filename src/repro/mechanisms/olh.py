@@ -39,6 +39,7 @@ class OLHOracle(FrequencyOracle):
     """Exact OLH frequency oracle (one fresh hash per client)."""
 
     name = "OLH"
+    MERGEABLE = {"_hash_a": "concat", "_hash_b": "concat", "_reports": "concat"}
 
     def __init__(
         self,
@@ -68,13 +69,8 @@ class OLHOracle(FrequencyOracle):
         self._hash_b.append(b)
         self._reports.append(reports)
 
-    def _merge_fields(self, other: "OLHOracle") -> dict:
-        return {"g": (self.g, other.g)}
-
-    def _merge(self, other: "OLHOracle") -> None:
-        self._hash_a.extend(other._hash_a)
-        self._hash_b.extend(other._hash_b)
-        self._reports.extend(other._reports)
+    def published(self) -> dict:
+        return {**super().published(), "g": self.g}
 
     @staticmethod
     def _hash(a: np.ndarray, b: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -85,7 +81,7 @@ class OLHOracle(FrequencyOracle):
     def _consolidated(self) -> tuple:
         """Concatenate the per-cohort arrays into one flat store.
 
-        ``_collect``/``_merge`` append cohort-sized pieces; estimation
+        ``_collect`` appends cohort-sized pieces; estimation
         wants one contiguous view so the support scan is a single chunked
         broadcast rather than a Python loop over cohorts.  The
         concatenation is cached back into the lists (length-one), so it

@@ -31,6 +31,7 @@ class OUEOracle(FrequencyOracle):
     """OUE frequency oracle over ``[0, domain_size)``."""
 
     name = "OUE"
+    MERGEABLE = {"_bit_counts": "sum"}
 
     def __init__(self, domain_size: int, epsilon: float, seed: RandomState = None) -> None:
         super().__init__(domain_size, epsilon, seed)
@@ -56,9 +57,6 @@ class OUEOracle(FrequencyOracle):
             offsets = rng.integers(0, self.domain_size - 1, size=total_flips)
             positions = np.where(offsets >= values[owners], offsets + 1, offsets)
             self._bit_counts += np.bincount(positions, minlength=self.domain_size)
-
-    def _merge(self, other: "OUEOracle") -> None:
-        self._bit_counts += other._bit_counts
 
     def _frequencies(self, candidates: np.ndarray) -> np.ndarray:
         observed = self._bit_counts[candidates].astype(np.float64)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import (
     FencedEpochError,
@@ -470,9 +470,3 @@ class ResilientClient:
             raise self._rejection(endpoint, status, body)
         self._target = int(endpoint_index)
         return body
-
-    def breaker_states(self) -> Dict[str, str]:
-        """Breaker state per endpoint (for tests and operators)."""
-        return {
-            endpoint.name: endpoint.breaker.state for endpoint in self._endpoints
-        }

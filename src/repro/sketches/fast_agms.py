@@ -19,7 +19,9 @@ Estimates supported here (all used by the paper):
 This class is the non-private **FAGMS** baseline of the experiments and
 the structure that :mod:`repro.core` privatises.  It is *linear*: the
 sketch of two concatenated streams is the element-wise sum of their
-sketches, which is what :meth:`FastAGMSSketch.merge` computes.
+sketches, which is what :meth:`FastAGMSSketch.merge` computes (through
+the :class:`~repro.mergeable.MergeableState` partial form every baseline
+accumulator shares).
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ import numpy as np
 from ..accumulate import scatter_add
 from ..errors import IncompatibleSketchError, ParameterError
 from ..hashing import HashPairs
+from ..mergeable import MergeableState
 from ..rng import RandomState
 from ..validation import as_value_array
 
 __all__ = ["FastAGMSSketch"]
 
 
-class FastAGMSSketch:
+class FastAGMSSketch(MergeableState):
     """Fast-AGMS sketch over integer ids.
 
     Parameters
@@ -46,6 +49,8 @@ class FastAGMSSketch:
         The per-row hash pairs.  Two sketches that will be joined must be
         constructed from the *same* :class:`HashPairs` object.
     """
+
+    MERGEABLE = {"counts": "sum"}
 
     def __init__(self, pairs: HashPairs) -> None:
         if not isinstance(pairs, HashPairs):
@@ -105,12 +110,18 @@ class FastAGMSSketch:
         """Fold a single value into the sketch."""
         self.update_batch(np.asarray([value], dtype=np.int64), weight)
 
-    def merge(self, other: "FastAGMSSketch") -> "FastAGMSSketch":
-        """Add ``other``'s counters into this sketch (linearity). Returns self."""
-        self.check_compatible(other)
-        self.counts += other.counts
-        self.total_weight += other.total_weight
-        return self
+    # ------------------------------------------------------------------
+    # Merging (MergeableState): counters add, the total weight travels as
+    # the partial's report count.
+    # ------------------------------------------------------------------
+    def published(self) -> dict:
+        return {"k": self.k, "m": self.m, "hash pairs": self.pairs}
+
+    def _counters(self) -> dict:
+        return {"num_reports": self.total_weight}
+
+    def _restored(self, counters: dict) -> None:
+        self.total_weight = counters["num_reports"]
 
     # ------------------------------------------------------------------
     # Estimates

@@ -63,16 +63,15 @@ class TestIngestion:
         for batch in batches:
             session.collect("A", batch)
         assert session.num_reports("A") == 2_000
-        merged = build_sketch(batches[0], pairs)
-        for batch in batches[1:]:
-            merged = merged.merge(build_sketch(batch, pairs))
-        # Merged sketches sum four transforms in float; near-zero cells carry
+        # The FWHT is linear: the four batch sketches sum to the session's.
+        # The sum adds four transforms in float; near-zero cells carry
         # rounding only, so the tolerance is absolute, scaled to the sketch.
+        summed = sum(build_sketch(batch, pairs).counts for batch in batches)
         np.testing.assert_allclose(
             session.sketch("A").counts,
-            merged.counts,
+            summed,
             rtol=1e-9,
-            atol=1e-9 * float(np.abs(merged.counts).max()),
+            atol=1e-9 * float(np.abs(summed).max()),
         )
 
     def test_param_mismatch_rejected(self, setup):

@@ -237,7 +237,7 @@ class TestSeparationMechanism:
     reduces frequent values to removable uniform mass.  (End-to-end
     dominance over plain LDPJoinSketch requires the paper's tens of
     millions of users, where collision error towers over LDP noise; see
-    EXPERIMENTS.md.)
+    ``benchmarks/bench_scale_regime.py``.)
     """
 
     def test_partial_join_sizes_recovered(self):

@@ -204,21 +204,3 @@ class TestCompatibility:
         with pytest.raises(IncompatibleSketchError):
             sketch.join_size(FastAGMSSketch(small_pairs))
 
-    def test_merge_adds_counts(self, small_params, small_pairs):
-        rng = np.random.default_rng(21)
-        s1 = build_sketch(
-            encode_reports(np.arange(10), small_params, small_pairs, rng), small_pairs
-        )
-        s2 = build_sketch(
-            encode_reports(np.arange(10), small_params, small_pairs, rng), small_pairs
-        )
-        expected = s1.counts + s2.counts
-        s1.merge(s2)
-        assert np.array_equal(s1.counts, expected)
-        assert s1.num_reports == 20
-
-    def test_merge_requires_same_epsilon(self, small_params, small_pairs):
-        s1 = LDPJoinSketch(small_params, small_pairs)
-        s2 = LDPJoinSketch(small_params.with_epsilon(9.0), small_pairs)
-        with pytest.raises(IncompatibleSketchError, match="budget"):
-            s1.merge(s2)
