@@ -57,13 +57,18 @@ def main() -> None:
     }
 
     print(f"{'candidate':38s} {'exact cos':>10s} {'private cos':>12s}")
-    for name, seller_values in sellers.items():
-        exact = exact_cosine(buyer, seller_values, domain)
-        private = private_cosine(buyer, seller_values, params, seed=hash(name) % 2**31)
-        print(f"{name:38s} {exact:10.4f} {private:12.4f}")
+    exact, private = {}, {}
+    for position, (name, seller_values) in enumerate(sellers.items()):
+        exact[name] = exact_cosine(buyer, seller_values, domain)
+        private[name] = private_cosine(buyer, seller_values, params, seed=position)
+        print(f"{name:38s} {exact[name]:10.4f} {private[name]:12.4f}")
 
-    print("\nThe private ranking matches the exact ranking: the market can")
-    print("price the candidates without seeing a single raw record.")
+    if sorted(sellers, key=exact.get) == sorted(sellers, key=private.get):
+        print("\nThe private ranking matches the exact ranking: the market can")
+        print("price the candidates without seeing a single raw record.")
+    else:
+        print("\nThe private ranking differs from the exact ranking: at")
+        print(f"epsilon = {params.epsilon:g} the closest candidates lie within the noise.")
 
 
 if __name__ == "__main__":

@@ -38,8 +38,9 @@ evaluates Eq. (27).
 from __future__ import annotations
 
 import itertools
+import math
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from ..core.server import LDPJoinSketch
 from ..errors import (
     IncompatibleSketchError,
     ParameterError,
+    PartialIntegrityError,
     ProtocolError,
     require_merge_compatible,
 )
@@ -66,6 +68,9 @@ from ..reliability.faults import fault_point
 from ..rng import RandomState, ensure_rng
 from ..serialization import decode_array, encode_array
 from .result import EstimateResult
+
+if TYPE_CHECKING:  # pragma: no cover - the distributed layer imports this module
+    from ..distributed.partial import PartialAggregate
 
 __all__ = ["JoinSession"]
 
@@ -109,6 +114,92 @@ class _MiddleStream:
 
 
 _StreamState = Union[_EndStream, _MiddleStream]
+
+
+def session_fingerprint(params: SketchParams, pairs: Sequence[HashPairs]) -> dict:
+    """The partial fingerprint of a session on ``params`` and ``pairs``.
+
+    See :meth:`JoinSession.shard_fingerprint`.
+    """
+    from ..distributed.partial import pairs_digest
+
+    return {
+        "k": params.k,
+        "m": params.m,
+        "privacy budget (epsilon)": params.epsilon,
+        "attribute widths": [p.m for p in pairs],
+        "hash pairs digest": pairs_digest(pairs),
+    }
+
+
+def check_session_partial(fingerprint: dict, partial: "PartialAggregate") -> None:
+    """Raise :class:`IncompatibleSketchError` unless ``partial`` is a
+    session partial of this :func:`session_fingerprint`."""
+    if partial.method == "join-session" and partial.fingerprint == fingerprint:
+        return  # the common case, without the field-by-field walk
+    require_merge_compatible(
+        "join-session partials",
+        method=("join-session", partial.method),
+        **{key: (mine, partial.fingerprint.get(key)) for key, mine in fingerprint.items()},
+    )
+
+
+def partial_streams(
+    partial: "PartialAggregate", names: Optional[Sequence[str]] = None
+) -> Dict[str, Tuple[str, int, np.ndarray, List[int]]]:
+    """Stream name -> ``(kind, attribute, raw, counts)`` of a session partial.
+
+    Every stream the partial holds, or those of ``names`` it holds.
+    ``counts`` are the stream's ``num_reports``, ``uplink_bits`` and
+    ``cohorts``.  A partial read from disk is checksummed over its
+    arrays only, so a stream its meta names without a well-formed entry,
+    its raw array or a finite counter raises
+    :class:`PartialIntegrityError`.  Reads only.
+    """
+    schema = partial.meta.get("streams", {})
+    if not isinstance(schema, dict):
+        raise PartialIntegrityError(
+            f"partial meta 'streams' is a {type(schema).__name__}, not a mapping"
+        )
+    streams = {}
+    for name in schema if names is None else [n for n in names if n in schema]:
+        entry = schema[name]
+        if not isinstance(entry, dict) or entry.get("kind") not in ("end", "middle"):
+            raise PartialIntegrityError(
+                f"partial stream {name!r} needs an 'end' or 'middle' kind, got {entry!r}"
+            )
+        attribute = entry.get("attribute")
+        if isinstance(attribute, bool) or not isinstance(attribute, (int, np.integer)):
+            raise PartialIntegrityError(
+                f"partial stream {name!r} attribute must be an integer, got {attribute!r}"
+            )
+        raw = partial.arrays.get(f"stream:{name}:raw")
+        if raw is None:
+            raise PartialIntegrityError(
+                f"partial stream {name!r} has no 'stream:{name}:raw' array"
+            )
+        counts = []
+        for counter in ("num_reports", "uplink_bits", "cohorts"):
+            value = partial.counters.get(f"stream:{name}:{counter}")
+            if value is None or not math.isfinite(value):
+                raise PartialIntegrityError(
+                    f"partial stream {name!r} counter 'stream:{name}:{counter}' is "
+                    f"{'missing' if value is None else value}"
+                )
+            counts.append(int(value))
+        streams[name] = (entry["kind"], int(attribute), raw, counts)
+    return streams
+
+
+def partial_charges(partial: "PartialAggregate") -> List[Tuple[str, float, str]]:
+    """The ledger charges of a partial; :class:`PartialIntegrityError` if malformed."""
+    try:
+        return [
+            (str(group), float(epsilon), str(mechanism))
+            for group, epsilon, mechanism in partial.meta.get("charges", [])
+        ]
+    except (TypeError, ValueError) as error:
+        raise PartialIntegrityError(f"partial charges are malformed: {error}") from None
 
 
 class JoinSession:
@@ -226,17 +317,7 @@ class JoinSession:
         :meth:`to_partial` / :meth:`merge` to refuse unsafe merges
         (wrong seed, wrong ``m``, wrong ``epsilon``) at the wire level.
         """
-        from ..distributed.partial import fingerprint_digest
-
-        return {
-            "k": self.params.k,
-            "m": self.params.m,
-            "privacy budget (epsilon)": self.params.epsilon,
-            "attribute widths": [p.m for p in self._pairs],
-            "hash pairs digest": fingerprint_digest(
-                [p.to_dict() for p in self._pairs]
-            ),
-        }
+        return session_fingerprint(self.params, self._pairs)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -466,20 +547,19 @@ class JoinSession:
         """Fold a shard's :class:`PartialAggregate` into this session.
 
         Every check runs before any state changes, so a refused partial
-        leaves the accumulators and the ledger as they were.  Shard
+        leaves the accumulators and the ledger as they were: another
+        configuration or a stream bound elsewhere raises
+        :class:`IncompatibleSketchError`, a stream entry, array, counter
+        or charge that is missing or malformed
+        :class:`PartialIntegrityError`.  Shard
         charges describe disjoint cohorts: colliding group names are
         renamed with ``label`` (probe-until-unique), so parallel — not
         sequential — composition applies.
         """
-        mine = self.shard_fingerprint()
-        require_merge_compatible(
-            "join-session partials",
-            method=("join-session", partial.method),
-            **{key: (mine[key], partial.fingerprint.get(key)) for key in mine},
-        )
+        check_session_partial(self.shard_fingerprint(), partial)
         incoming = []
-        for name, entry in partial.meta.get("streams", {}).items():
-            kind, attribute = entry["kind"], int(entry["attribute"])
+        charges = partial_charges(partial)
+        for name, (kind, attribute, raw, counts) in partial_streams(partial).items():
             state = self._streams.get(name)
             if state is None:
                 state = self._new_state(name, kind, attribute)
@@ -495,16 +575,11 @@ class JoinSession:
                         f"{attribute}) in the partial but to ({bound[0]} table, "
                         f"attribute {bound[1]}) here"
                     )
-            raw = partial.arrays[f"stream:{name}:raw"]
             if raw.shape != state.raw.shape:
                 raise IncompatibleSketchError(
                     f"partial stream {name!r} accumulator shaped {raw.shape}, "
                     f"expected {state.raw.shape}"
                 )
-            counts = [
-                int(partial.counters[f"stream:{name}:{counter}"])
-                for counter in ("num_reports", "uplink_bits", "cohorts")
-            ]
             incoming.append((name, state, raw, counts))
         for name, state, raw, (num_reports, uplink_bits, cohorts) in incoming:
             self._streams.setdefault(name, state)
@@ -513,7 +588,7 @@ class JoinSession:
             state.uplink_bits += uplink_bits
             state.cohorts += cohorts
             state.cached = None
-        self.ledger.absorb(partial.meta.get("charges", []), label=label)
+        self.ledger.absorb(charges, label=label)
         self.offline_seconds += float(partial.counters.get("offline_seconds", 0.0))
         return self
 

@@ -62,7 +62,7 @@ from ..reliability.retry import DEFAULT_RETRYABLE, RetryPolicy, as_retry_policy
 from ..rng import RandomState, derive_seed, ensure_rng, spawn
 from ..validation import as_value_array, require_positive_int
 from .merge import merge_sequential, merge_tree
-from .partial import PartialAggregate, fingerprint_digest
+from .partial import PartialAggregate, pairs_digest
 from .planner import ShardPlanner
 
 __all__ = ["estimate_sharded", "prepare_shard_run", "ShardRun"]
@@ -487,7 +487,7 @@ class _PlusDriver:
             "m": params.m,
             "phase1 m": phase1.m,
             "privacy budget (epsilon)": float(epsilon),
-            "hash pairs digest": fingerprint_digest([pairs1.to_dict(), pairs2.to_dict()]),
+            "hash pairs digest": pairs_digest([pairs1, pairs2]),
         }
         start = time.perf_counter()
         groups: List[Optional[Dict[str, np.ndarray]]] = [None] * num_shards

@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from typing import Any, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -47,9 +47,13 @@ from ..errors import (
 )
 from ..serialization import decode_array, encode_array
 
+if TYPE_CHECKING:
+    from ..hashing import HashPairs
+
 __all__ = [
     "PartialAggregate",
     "fingerprint_digest",
+    "pairs_digest",
     "content_checksum",
     "PARTIAL_FORMAT",
     "PARTIAL_VERSION",
@@ -76,7 +80,21 @@ def fingerprint_digest(payload: Any) -> str:
     same published randomness produce the same digest, any other seed
     produces a different one.
     """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _digest(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+
+
+def pairs_digest(pairs: Sequence["HashPairs"]) -> str:
+    """``fingerprint_digest([p.to_dict() for p in pairs])``, from cached text.
+
+    The canonical JSON of a list is its items' canonical JSON joined
+    by commas inside brackets, so each pair's cached
+    :meth:`~repro.hashing.HashPairs.canonical_json` gives the same
+    bytes without serialising a coefficient again.
+    """
+    return _digest("[" + ",".join(p.canonical_json() for p in pairs) + "]")
+
+
+def _digest(canonical: str) -> str:
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()[:32]
 
 

@@ -12,7 +12,8 @@ verify compatibility before combining.
 from __future__ import annotations
 
 import functools
-from typing import List
+import json
+from typing import List, Optional
 
 import numpy as np
 
@@ -100,7 +101,9 @@ class HashPairs:
         Independence degree of the bucket hashes (pairwise by default).
     """
 
-    __slots__ = ("k", "m", "bucket_hashes", "sign_hashes", "_bucket_coeffs", "_sign_coeffs")
+    __slots__ = (
+        "k", "m", "bucket_hashes", "sign_hashes", "_bucket_coeffs", "_sign_coeffs", "_canonical"
+    )
 
     def __init__(
         self,
@@ -136,6 +139,7 @@ class HashPairs:
         # the per-row loops.
         self._bucket_coeffs = _stack_coefficients(self.bucket_hashes)
         self._sign_coeffs = _stack_coefficients([s.base for s in self.sign_hashes])
+        self._canonical: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -269,6 +273,18 @@ class HashPairs:
             "bucket_hashes": [h.to_dict() for h in self.bucket_hashes],
             "sign_hashes": [s.to_dict() for s in self.sign_hashes],
         }
+
+    def canonical_json(self) -> str:
+        """:meth:`to_dict` as canonical JSON (sorted keys, compact separators).
+
+        The text :func:`~repro.distributed.fingerprint_digest` hashes.
+        Pairs are never mutated after construction, so it is built on
+        the first call and kept: merges and window queries fingerprint
+        the same pairs over and over.
+        """
+        if self._canonical is None:
+            self._canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return self._canonical
 
     @classmethod
     def from_dict(cls, payload: dict) -> "HashPairs":

@@ -60,11 +60,13 @@ from ..errors import (
     CheckpointCorruptError,
     DomainError,
     ParameterError,
+    PartialIntegrityError,
     ProtocolError,
 )
 from ..hashing.kwise import check_domain
 from ..reliability.faults import fault_point
 from ..reliability.retry import RetryPolicy
+from ..temporal.decay import decayed_join_estimate
 from ..temporal.session import TemporalSession
 from .wal import FSYNC_POLICIES, WriteAheadLog, encode_frame
 
@@ -310,12 +312,18 @@ class AggregationService:
                     f"not one this config writes (cursor {limit}, interval {interval})"
                 )
                 cursor = 0
-            elif interval:
-                self._temporal.resume(
-                    partial, cursor // interval, charges_per_epoch=interval
-                )
             else:
-                self._temporal.open_session.merge(partial)
+                try:
+                    if interval:
+                        self._temporal.resume(
+                            partial, cursor // interval, charges_per_epoch=interval
+                        )
+                    else:
+                        self._temporal.open_session.merge(partial)
+                except PartialIntegrityError as error:
+                    # The crc covers the arrays, not the stream schema or
+                    # the charges; both restores check those first.
+                    cold_start, cursor = str(error), 0
         for sequence, record in enumerate(records):
             self._count_tenant(record)
             self._remember_ack(record, sequence)
@@ -660,9 +668,12 @@ class AggregationService:
     ) -> dict:
         """Sliding-window estimate over the newest ``window`` epochs.
 
-        The window session is a fresh sum of the ring's partials (plus
-        the open epoch) — pure over deterministic WAL state, so the
-        query is retry-safe and two replicas that agree on the WAL
+        The decay-``1/1`` case of :func:`~repro.temporal.decayed_join_estimate`:
+        each queried stream's int64 accumulators over the ring's epochs
+        (plus the open one) are summed and transformed once, which is
+        bit for bit the estimate of a session merged from those epochs;
+        no other stream is read.  Pure over deterministic WAL state, so
+        the query is retry-safe and two replicas that agree on the WAL
         return identical bytes.  Each answered release is noted on the
         continual-observation ledger per covered epoch.
         """
@@ -677,13 +688,17 @@ class AggregationService:
         def run() -> Tuple[list, dict]:
             fault_point("service.query", kind="window", tenant=str(tenant))
             entries = temporal.window_entries(window)
-            session = temporal.merged_session(partial for _, partial in entries)
-            result = session.estimate(
-                self._qualify(tenant, stream_a), self._qualify(tenant, stream_b)
+            estimate, num_reports = decayed_join_estimate(
+                entries,
+                params=temporal.params,
+                pairs=temporal.pairs,
+                stream_a=self._qualify(tenant, stream_a),
+                stream_b=self._qualify(tenant, stream_b),
+                decay=(1, 1),
             )
             return entries, {
-                "estimate": float(result.estimate),
-                "num_reports": int(result.extras["num_reports"]),
+                "estimate": estimate,
+                "num_reports": num_reports,
                 "streams": [stream_a, stream_b],
                 "window": int(window),
                 "epochs": [epoch for epoch, _ in entries],

@@ -14,6 +14,12 @@ estimator pipeline (debias scale, FWHT, Eq. (5) median of row inner
 products) is linear in each stream's accumulator, so running it on the
 weighted sums yields ``denominator^(2A)`` times the decayed estimate —
 one exact integer division at the very end undoes the scaling.
+
+Decay ``1/1`` is the plain sliding window: every weight is 1, the sums
+are the accumulators a merge of the window's epochs would hold, and the
+estimate is bit for bit the merged session's.  The online service
+answers its window queries this way, from the two queried streams'
+arrays alone.
 """
 
 from __future__ import annotations
@@ -22,11 +28,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..api.session import check_session_partial, partial_streams, session_fingerprint
 from ..backend import use_backend
 from ..core.params import SketchParams
 from ..core.server import LDPJoinSketch
 from ..distributed.partial import PartialAggregate
-from ..errors import ParameterError, ProtocolError
+from ..errors import IncompatibleSketchError, ParameterError, ProtocolError
 from ..hashing import HashPairs
 
 __all__ = ["decay_weights", "combine_decayed", "decayed_join_estimate"]
@@ -95,14 +102,15 @@ def combine_decayed(
                 f"accumulator shaped {array.shape} does not match {shape}"
             )
         weight = int(weight)
-        peak = int(np.abs(array).max(initial=0)) * weight
+        # Python ints: -min cannot wrap as np.abs does at -2**63.
+        peak = max(int(array.max(initial=0)), -int(array.min(initial=0))) * weight
         if peak > _INT64_HEADROOM // max(terms, 1):
             raise ParameterError(
                 f"decayed combination would overflow int64 (peak term "
                 f"{peak} across {terms} epochs); use a shorter window or "
                 f"a smaller decay denominator"
             )
-        combined += array * np.int64(weight)
+        combined += array if weight == 1 else array * np.int64(weight)
     return combined
 
 
@@ -115,13 +123,21 @@ def decayed_join_estimate(
     stream_b: str,
     decay: Tuple[int, int],
     backend=None,
-) -> float:
+) -> Tuple[float, int]:
     """Eq. (5) join-size estimate with per-epoch exponential decay.
 
     ``partials`` are ``(epoch, partial)`` pairs oldest first — the shape
     :meth:`~repro.temporal.TemporalSession.window_entries` returns.  The
     newest epoch has age 0; epoch ``e``'s reports are weighted
     ``(decay[0]/decay[1]) ** age`` exactly (see module docstring).
+    Returns ``(estimate, num_reports)``: ``num_reports`` counts both
+    streams' reports over the window, unweighted.
+
+    Only the two streams' entries are read.  Each partial must carry the
+    fingerprint of a session on ``params`` and ``pairs``, as a merge
+    would demand (:class:`~repro.errors.IncompatibleSketchError`), and a
+    malformed stream entry raises
+    :class:`~repro.errors.PartialIntegrityError`.
     """
     if not partials:
         raise ParameterError("decayed estimate needs at least one epoch")
@@ -132,39 +148,65 @@ def decayed_join_estimate(
         )
     numerator, denominator = _validate_decay(*decay)
     weights = decay_weights(len(partials), numerator, denominator)
-    sketches = []
-    for name in (stream_a, stream_b):
-        attribute: Optional[int] = None
-        arrays: List[Optional[np.ndarray]] = []
-        num_reports = 0
-        for _, partial in partials:
-            entry = partial.meta.get("streams", {}).get(name)
-            if entry is None:
-                arrays.append(None)
-                continue
-            if entry["kind"] != "end":
-                raise ProtocolError(
-                    f"stream {name!r} is a middle table; decayed estimates "
-                    f"join two end tables"
-                )
-            if attribute is None:
-                attribute = int(entry["attribute"])
-            elif attribute != int(entry["attribute"]):
-                raise ProtocolError(
-                    f"stream {name!r} is bound to different join attributes "
-                    f"across epochs"
-                )
-            arrays.append(partial.arrays[f"stream:{name}:raw"])
-            num_reports += int(partial.counters[f"stream:{name}:num_reports"])
-        if attribute is None:
+    fingerprint = session_fingerprint(params, pairs)
+    for _, partial in partials:
+        check_session_partial(fingerprint, partial)
+    attribute, arrays_a, reports_a = _window_stream(partials, stream_a, len(pairs))
+    attribute_b, arrays_b, reports_b = _window_stream(partials, stream_b, len(pairs))
+    if attribute != attribute_b:
+        raise ProtocolError(
+            f"streams {stream_a!r} and {stream_b!r} are bound to different "
+            f"join attributes"
+        )
+    stream_params = SketchParams(params.k, pairs[attribute].m, params.epsilon)
+    combined_a = combine_decayed(arrays_a, weights)
+    combined_b = combine_decayed(arrays_b, weights)
+    with use_backend(backend):
+        sketch_a = LDPJoinSketch.from_raw(stream_params, pairs[attribute], combined_a, reports_a)
+        sketch_b = LDPJoinSketch.from_raw(stream_params, pairs[attribute], combined_b, reports_b)
+    raw_estimate = sketch_a.join_size(sketch_b)
+    scaled = float(raw_estimate) / float(denominator ** (2 * (len(partials) - 1)))
+    return scaled, reports_a + reports_b
+
+
+def _window_stream(
+    partials: Sequence[Tuple[int, PartialAggregate]], name: str, num_attributes: int
+) -> Tuple[int, List[Optional[np.ndarray]], int]:
+    """``(attribute, arrays, num_reports)`` of end stream ``name`` over the window.
+
+    ``arrays`` holds one raw accumulator per epoch, ``None`` where the
+    epoch saw no report of the stream.
+    """
+    attribute: Optional[int] = None
+    arrays: List[Optional[np.ndarray]] = []
+    reports = 0
+    for _, partial in partials:
+        stream = partial_streams(partial, [name]).get(name)
+        if stream is None:
+            arrays.append(None)
+            continue
+        kind, bound, raw, counts = stream
+        if kind != "end":
             raise ProtocolError(
-                f"stream {name!r} has no reports in any epoch of the window"
+                f"stream {name!r} is a middle table; decayed estimates "
+                f"join two end tables"
             )
-        stream_params = SketchParams(params.k, pairs[attribute].m, params.epsilon)
-        combined = combine_decayed(arrays, weights)
-        with use_backend(backend):
-            sketches.append(
-                LDPJoinSketch.from_raw(stream_params, pairs[attribute], combined, num_reports)
+        if attribute is None:
+            attribute = bound
+        elif attribute != bound:
+            raise ProtocolError(
+                f"stream {name!r} is bound to different join attributes "
+                f"across epochs"
             )
-    raw_estimate = sketches[0].join_size(sketches[1])
-    return float(raw_estimate) / float(denominator ** (2 * (len(partials) - 1)))
+        arrays.append(raw)
+        reports += counts[0]
+    if attribute is None or not reports:
+        raise ProtocolError(
+            f"stream {name!r} has no reports in any epoch of the window"
+        )
+    if not 0 <= attribute < num_attributes:
+        raise IncompatibleSketchError(
+            f"stream {name!r} is bound to attribute {attribute}, which the "
+            f"{num_attributes}-attribute schema does not have"
+        )
+    return attribute, arrays, reports

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..api.session import JoinSession
+from ..api.session import JoinSession, partial_charges, partial_streams
 from ..core.params import SketchParams
 from ..distributed.partial import PartialAggregate
 from ..errors import ParameterError, ProtocolError
@@ -175,11 +175,16 @@ class TemporalSession:
         """Start this fresh session from a :attr:`prefix` of ``epochs`` epochs.
 
         Epoch ``epochs`` opens next.  The prefix's charges go back on the
-        continual ledger in order, ``charges_per_epoch`` to an epoch.
+        continual ledger in order, ``charges_per_epoch`` to an epoch.  A
+        malformed stream entry or charge raises
+        :class:`~repro.errors.PartialIntegrityError` before anything
+        changes.
         """
+        partial_streams(prefix)
+        charges = partial_charges(prefix)
         self._prefix.merge(prefix)
         self._epoch = int(epochs)
-        for index, (group, eps, mechanism) in enumerate(prefix.meta.get("charges", [])):
+        for index, (group, eps, mechanism) in enumerate(charges):
             epoch = index // charges_per_epoch
             self.continual.charge(self._subject_of(group), epoch, group, eps, mechanism)
         return self
@@ -300,7 +305,7 @@ class TemporalSession:
         why the combination stays integer-exact.
         """
         entries = self.window_entries(window, include_open=include_open)
-        return decayed_join_estimate(
+        estimate, _ = decayed_join_estimate(
             entries,
             params=self.params,
             pairs=self._coordinator.pairs,
@@ -309,6 +314,7 @@ class TemporalSession:
             decay=decay,
             backend=self._coordinator.backend,
         )
+        return estimate
 
     def note_release(
         self, subject: str, entries: Sequence[Tuple[int, PartialAggregate]]

@@ -18,14 +18,14 @@ Three facts make the protocols cheap:
   matrix, it evaluates one entry in O(1);
 * ``H_m`` is symmetric and ``H_m @ H_m = m * I`` (so the inverse transform is
   the forward transform divided by ``m``);
-* the matrix-vector product costs ``O(m log m)`` via the in-place butterfly
-  (the fast Walsh--Hadamard transform, FWHT), which the server uses to undo
-  the client-side transform row by row.
+* the matrix-vector product costs ``O(m log m)`` via the butterfly (the
+  fast Walsh--Hadamard transform, FWHT), which the server uses to undo the
+  client-side transform row by row.
 
 The FWHT accepts either a single vector or a batch of row vectors;
 :func:`fwht_inplace` dispatches to the active compute backend
 (:mod:`repro.backend`), with :func:`fwht_batch_inplace_numpy` as the
-scratch-buffered reference butterfly.
+constant-geometry reference butterfly.
 """
 
 from __future__ import annotations
@@ -169,9 +169,9 @@ def fwht_inplace(data: np.ndarray) -> np.ndarray:
 
 
 #: Per-thread scratch reused across :func:`fwht_batch_inplace_numpy`
-#: calls — the half-size difference buffer is the transform's only
+#: calls — the second buffer of the ping-pong is the transform's only
 #: transient, and back-to-back sketch finalisations all need the same
-#: ``k * m / 2`` floats.  Buffers above the cap are not retained so one
+#: ``k * m`` floats.  Buffers above the cap are not retained so one
 #: giant transform cannot pin memory for the rest of the process.
 _SCRATCH = threading.local()
 _SCRATCH_CACHE_MAX = 1 << 20  # elements (8 MiB of float64)
@@ -189,25 +189,31 @@ def _fwht_scratch(size: int, dtype: np.dtype) -> np.ndarray:
 def fwht_batch_inplace_numpy(data: np.ndarray) -> np.ndarray:
     """NumPy reference butterfly behind :func:`fwht_inplace`.
 
-    A single half-size scratch buffer — reused across calls via a
-    per-thread cache — carries each level's differences: no per-level
-    ``.copy()`` and, on the steady-state hot path, no per-call
-    allocation at all.  Transient footprint is exactly ``data.size / 2``
-    elements regardless of ``log2(m)`` levels.
+    The constant-geometry (Pease) form: every pass reads the pairs
+    ``(x[2i], x[2i+1])`` and writes ``a + b`` to slot ``i`` and
+    ``a - b`` to slot ``i + m/2`` of the other buffer.  A pass thus
+    combines the index bit at position 0 and rotates the bits right by
+    one, so pass ``t`` combines bit ``t`` of the original index (bit 0
+    first) and ``log2(m)`` passes restore the natural order.  Every
+    element sees the same adds and subtracts, in the same order, as
+    the in-place butterfly of the numba kernel — the output is equal
+    bit for bit — but each ufunc call runs over ``m/2`` elements of a
+    row instead of ``h``-element blocks.  Data and one cached scratch
+    buffer of the same size alternate as source and target; an odd
+    pass count ends with one copy back into ``data``.
     """
     m = data.shape[-1]
-    scratch = _fwht_scratch(data.size // 2, data.dtype)
-    h = 1
-    while h < m:
-        # Butterfly over blocks of width 2*h: (a, b) <- (a + b, a - b).
-        view = data.reshape(*data.shape[:-1], m // (2 * h), 2, h)
-        a = view[..., 0, :]
-        b = view[..., 1, :]
-        diff = scratch.reshape(a.shape)
-        np.subtract(a, b, out=diff)
-        np.add(a, b, out=a)
-        b[...] = diff
-        h *= 2
+    half = m // 2
+    source = data
+    target = _fwht_scratch(data.size, data.dtype).reshape(data.shape)
+    for _ in range(m.bit_length() - 1):
+        a = source[..., 0::2]
+        b = source[..., 1::2]
+        np.add(a, b, out=target[..., :half])
+        np.subtract(a, b, out=target[..., half:])
+        source, target = target, source
+    if source is not data:
+        data[...] = source
     return data
 
 

@@ -216,6 +216,38 @@ class TestSharding:
         assert session.num_reports("A") == 2 * a.size
 
 
+class TestPairsDigest:
+    """Every ``node.ckpt`` and ``shard run`` partial carries this digest,
+    so the literal values pin it against any change to how it is computed."""
+
+    @pytest.mark.parametrize(
+        "widths, kwargs, digest",
+        [
+            (None, dict(k=16, m=1024, epsilon=4.0, seed=7), "bb523c19b079d5f25202475c6fc636af"),
+            ([64, 32, 128], dict(k=5, m=64, epsilon=2.0, seed=11),
+             "bdd7d78bfc1a9f9dcad2683ffd84a7a8"),
+        ],
+        ids=["one-attribute", "three-attribute"],
+    )
+    def test_digest_is_pinned(self, widths, kwargs, digest):
+        seed = kwargs.pop("seed")
+        session = JoinSession(SketchParams(**kwargs), attribute_widths=widths, seed=seed)
+        assert session.shard_fingerprint()["hash pairs digest"] == digest
+        # Twice: the second call reads each pair's cached text.
+        assert session.to_partial().fingerprint["hash pairs digest"] == digest
+
+    def test_digest_is_the_digest_of_the_serialised_pairs(self):
+        from repro.distributed import fingerprint_digest
+        from repro.distributed.partial import pairs_digest
+
+        pairs = JoinSession(
+            SketchParams(k=4, m=64, epsilon=1.0), attribute_widths=[64, 16, 32], seed=3
+        ).pairs
+        for chosen in ([], pairs[:1], pairs, pairs[::-1], [pairs[0], pairs[0]]):
+            assert pairs_digest(chosen) == fingerprint_digest([p.to_dict() for p in chosen])
+        assert pairs[0].canonical_json() is pairs[0].canonical_json()
+
+
 class TestLedgerMergeInvariance:
     """Regression suite for the cross-process ledger-corruption bug.
 

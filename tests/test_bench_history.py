@@ -131,7 +131,7 @@ class TestFloors:
         "lines, figure, failing, passing, floor",
         [
             (QUORUM_LINES, "ingest_reports_per_s", 49_999.0, 50_001.0, ">= 50,000.00"),
-            (WINDOW_LINES, "window_query_p50_ms", 10.01, 9.99, "<= 10.00"),
+            (WINDOW_LINES, "window_query_p50_ms", 5.01, 4.99, "<= 5.00"),
         ],
     )
     def test_floor_fails_just_past_its_threshold(self, tool, lines, figure, failing, passing,

@@ -41,6 +41,14 @@ class TestExamples:
         similar = float(lines[0].split()[-1])
         unrelated = float(lines[2].split()[-1])
         assert similar > unrelated
+        # The closing sentence follows the printed columns.
+        exact, private = ([float(l.split()[i]) for l in lines] for i in (-2, -1))
+        matches = sorted(range(3), key=exact.__getitem__) == sorted(
+            range(3), key=private.__getitem__
+        )
+        assert ("ranking matches" in out) == matches
+        # Seeded by position, not by salted string hashes.
+        assert run_example("private_similarity.py") == out
 
     def test_dataset_discovery(self):
         out = run_example("dataset_discovery.py")

@@ -253,6 +253,47 @@ class TestPopcountParityLUT:
             )
 
 
+def _inplace_butterfly(data: np.ndarray) -> np.ndarray:
+    """The in-place radix-2 butterfly, bit 0 first: the numba kernel's order."""
+    m = data.shape[-1]
+    h = 1
+    while h < m:
+        view = data.reshape(*data.shape[:-1], m // (2 * h), 2, h)
+        a = view[..., 0, :]
+        b = view[..., 1, :]
+        a[...], b[...] = a + b, a - b
+        h *= 2
+    return data
+
+
+class TestConstantGeometryButterfly:
+    """The reference butterfly equals the in-place one bit for bit."""
+
+    @pytest.mark.parametrize("log_m", range(13))  # m = 1 .. 4096, odd and even log2
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["1-D", "2-D", "3-D"])
+    def test_bit_identical_to_the_inplace_butterfly(self, log_m, lead):
+        from repro.transform.hadamard import fwht_batch_inplace_numpy
+
+        data = np.random.default_rng(log_m).normal(scale=1e3, size=(*lead, 1 << log_m))
+        expected = _inplace_butterfly(data.copy())
+        for transform in (fwht_batch_inplace_numpy, fwht_inplace):
+            out = transform(data.copy())
+            np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_non_contiguous_view(self, m):
+        from repro.transform.hadamard import fwht_batch_inplace_numpy
+
+        base = np.random.default_rng(m).normal(size=(m, 6))
+        expected = _inplace_butterfly(np.ascontiguousarray(base.T))
+        for transform in (fwht_batch_inplace_numpy, fwht_inplace):
+            view = base.copy().T  # (6, m), not C-contiguous
+            assert transform(view) is view
+            np.testing.assert_array_equal(
+                np.ascontiguousarray(view).view(np.int64), expected.view(np.int64)
+            )
+
+
 class TestFwhtScratchCache:
     """The cached scratch buffer must never leak state across calls."""
 
@@ -277,7 +318,7 @@ class TestFwhtScratchCache:
 
         monkeypatch.setattr(hd, "_SCRATCH_CACHE_MAX", 16)
         before = getattr(hd._SCRATCH, "buf", None)
-        data = np.random.default_rng(9).normal(size=(4, 64))  # scratch = 128 > 16
+        data = np.random.default_rng(9).normal(size=(4, 64))  # scratch = 256 > 16
         expected = data @ hadamard_matrix(64)
         assert np.allclose(fwht_inplace(data.copy()), expected)
         after = getattr(hd._SCRATCH, "buf", None)

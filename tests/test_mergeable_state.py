@@ -16,7 +16,7 @@ import pytest
 from repro.api import JoinSession
 from repro.core import SketchParams
 from repro.distributed import PartialAggregate
-from repro.errors import IncompatibleSketchError
+from repro.errors import IncompatibleSketchError, PartialIntegrityError
 from repro.hashing import HashPairs
 from repro.mechanisms import (
     FLHOracle,
@@ -124,6 +124,47 @@ def test_refused_session_merge_changes_nothing(as_partial):
         np.testing.assert_array_equal(after[0][name], raw)
     assert after[1:] == before[1:]
     assert coordinator.num_reports("A") == 10
+
+
+def _drop(mapping, key):
+    del mapping[key]
+
+
+#: Ways a partial read from disk can name stream ``B`` without carrying it.
+MALFORMED = {
+    "no kind": lambda p: _drop(p.meta["streams"]["B"], "kind"),
+    "no attribute": lambda p: _drop(p.meta["streams"]["B"], "attribute"),
+    "no raw array": lambda p: _drop(p.arrays, "stream:B:raw"),
+    "no counter": lambda p: _drop(p.counters, "stream:B:cohorts"),
+    "non-finite counter": lambda p: p.counters.update({"stream:B:num_reports": float("nan")}),
+    "entry not a dict": lambda p: p.meta["streams"].update(B=["end", 0]),
+    "attribute not an integer": lambda p: p.meta["streams"]["B"].update(attribute="0"),
+    "unknown kind": lambda p: p.meta["streams"]["B"].update(kind="side"),
+    "streams not a mapping": lambda p: p.meta.update(streams=["A", "B"]),
+    "charge not a triple": lambda p: p.meta["charges"].append(["B", 4.0]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_session_partial_is_typed_and_changes_nothing(shape):
+    """Stream ``A`` is well formed and would merge first: nothing merges."""
+    params = SketchParams(k=3, m=32, epsilon=EPSILON)
+    coordinator = JoinSession(params, seed=1)
+    coordinator.collect("A", np.arange(10), seed=2)
+    shard = coordinator.spawn_shard()
+    shard.collect("A", np.arange(50), seed=4)
+    shard.collect("B", np.arange(50), seed=5)
+    partial = shard.to_partial()
+    MALFORMED[shape](partial)
+    before = _state(coordinator)
+
+    with pytest.raises(PartialIntegrityError):
+        coordinator.merge(partial)
+
+    after = _state(coordinator)
+    assert after[0].keys() == before[0].keys() == {"A"}
+    np.testing.assert_array_equal(after[0]["A"], before[0]["A"])
+    assert after[1:] == before[1:]
 
 
 def test_refused_partial_merge_changes_nothing():

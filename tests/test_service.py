@@ -594,6 +594,33 @@ class TestAggregationService:
         assert restarted.snapshot.digest == reference
         restarted.close()
 
+    @pytest.mark.parametrize("epoch_interval", [0, 2], ids=["epochs-off", "epochs-on"])
+    def test_checkpoint_with_a_malformed_stream_entry_cold_starts(
+        self, tmp_path, epoch_interval
+    ):
+        """The crc covers the arrays, not the stream schema beside them."""
+        batches = make_batches(20)
+        options = dict(epoch_interval=epoch_interval, window_epochs=1)
+        reference = run_to_digest(tmp_path / "ref", batches, **options)
+
+        crashed = AggregationService(make_config(tmp_path / "crash", **options))
+        crashed.start()
+        for tenant, stream, values in batches:
+            crashed.ingest(tenant, stream, values)
+        crashed.close()
+        path = tmp_path / "crash" / "node.ckpt"
+        payload = json.loads(path.read_text())
+        del payload["partial"]["meta"]["streams"][f"{TENANT}/A"]["kind"]
+        path.write_text(json.dumps(payload))
+
+        restarted = AggregationService(make_config(tmp_path / "crash", **options))
+        recovery = restarted.start()
+        assert "kind" in recovery["cold_start"]
+        assert recovery["replayed"] == len(batches)
+        restarted.publish()
+        assert restarted.snapshot.digest == reference
+        restarted.close()
+
     def test_checkpoint_ahead_of_wal_is_cold_started(self, tmp_path):
         """A checkpoint past the WAL (lost log bytes) must not double-count."""
         data_dir = tmp_path / "svc"

@@ -14,12 +14,13 @@ import pytest
 
 from repro.api import JoinSession, available_estimators, get_estimator
 from repro.core import SketchParams
-from repro.errors import ParameterError, ProtocolError
+from repro.errors import IncompatibleSketchError, ParameterError, ProtocolError
 from repro.temporal import (
     EpochRing,
     TemporalSession,
     combine_decayed,
     decay_weights,
+    decayed_join_estimate,
 )
 
 from .conftest import zipf_values
@@ -277,9 +278,8 @@ class TestDecayedEstimate:
         decayed = session.decayed_estimate(
             "A", "B", decay=(1, 1), window=3, include_open=False
         )
-        assert decayed == pytest.approx(
-            plain.estimate("A", "B").estimate, rel=1e-12
-        )
+        # Decay 1/1 sums the same int64 accumulators the merge holds.
+        assert decayed == plain.estimate("A", "B").estimate
 
     def test_decay_shrinks_old_heavy_windows(self, params):
         # All epochs carry identical traffic; the decayed estimate over W
@@ -304,9 +304,31 @@ class TestDecayedEstimate:
         decayed = session.decayed_estimate(
             "A", "B", decay=(1, 2), window=1, include_open=False
         )
-        assert decayed == pytest.approx(
-            plain.estimate("A", "B").estimate, rel=1e-12
+        assert decayed == plain.estimate("A", "B").estimate
+
+    def test_window_answer_and_report_count(self, params):
+        session, _, _ = _filled_session(params, 4)
+        session.collect("A", np.arange(20), seed=7)  # the open epoch counts too
+        entries = session.window_entries(3)
+        estimate, num_reports = decayed_join_estimate(
+            entries, params=params, pairs=session.pairs,
+            stream_a="A", stream_b="B", decay=(1, 1),
         )
+        merged = session.window_session(3).estimate("A", "B")
+        assert estimate == merged.estimate
+        assert num_reports == merged.extras["num_reports"]
+
+    def test_refuses_an_epoch_of_another_session(self, params):
+        session, slices_a, _ = _filled_session(params, 3)
+        stranger = JoinSession(params, seed=99)
+        stranger.collect("A", slices_a[0], seed=1)
+        entries = session.window_entries(2, include_open=False)
+        entries[0] = (entries[0][0], stranger.to_partial(include_timing=False))
+        with pytest.raises(IncompatibleSketchError, match="hash pairs"):
+            decayed_join_estimate(
+                entries, params=params, pairs=session.pairs,
+                stream_a="A", stream_b="B", decay=(1, 1),
+            )
 
     def test_rejects_same_stream(self, params):
         session, _, _ = _filled_session(params, 2)

@@ -36,7 +36,7 @@ PERFBENCH = ROOT / "perfbench" / "run.py"
 #: object of perfbench's meta line): (figure, better, threshold).
 FLOORS = {
     "ingest-quorum": ("ingest_reports_per_s", "higher", 50_000.0),
-    "window-mixed": ("window_query_p50_ms", "lower", 10.0),
+    "window-mixed": ("window_query_p50_ms", "lower", 5.0),
 }
 
 
