@@ -22,8 +22,7 @@ RPR106   Async service paths stay non-blocking: no ``time.sleep``, sync
 RPR107   Ledger charge rows are written only by ``privacy/budget.py``:
          no direct ``.charges.append`` / ``.extend`` / ``+=`` mutation
          elsewhere — absorbing foreign charges must go through
-         ``BudgetLedger.absorb`` (collision-renaming) or ``restore``
-         (deserialisation).
+         ``BudgetLedger.absorb`` (collision-renaming).
 =======  ==============================================================
 
 The rules are deliberately heuristic (static analysis of a dynamic
@@ -701,10 +700,10 @@ class LedgerChargesMutationRule(Rule):
     rationale = (
         "Charge rows carry the parallel-composition invariant: group names "
         "must stay collision-free when cohorts from different sessions land "
-        "in one ledger, and only BudgetLedger.absorb (collision-renaming) / "
-        "restore (verbatim deserialisation) in privacy/budget.py preserve "
-        "that.  A direct .charges.append elsewhere can silently collapse "
-        "two disjoint cohorts into one group and double-count epsilon."
+        "in one ledger, and only BudgetLedger.absorb (collision-renaming) "
+        "in privacy/budget.py preserves that.  A direct .charges.append "
+        "elsewhere can silently collapse two disjoint cohorts into one "
+        "group and double-count epsilon."
     )
 
     #: In-place list mutators that write rows past the ledger API.
@@ -728,8 +727,7 @@ class LedgerChargesMutationRule(Rule):
                         node,
                         self.code,
                         f"direct .charges.{func.attr}() outside privacy/budget.py "
-                        "bypasses collision renaming; use BudgetLedger.absorb "
-                        "(merges) or BudgetLedger.restore (deserialisation)",
+                        "bypasses collision renaming; use BudgetLedger.absorb",
                     )
             elif isinstance(node, ast.AugAssign):
                 if (

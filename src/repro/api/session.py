@@ -22,12 +22,12 @@ Three properties make this the production path the paper implies:
   single-collector state: ``shard_1 + shard_2`` is the same array as one
   session that saw both batches.  :meth:`spawn_shard` / :meth:`merge`
   implement scatter/gather collection.
-* **Portable** — :meth:`to_dict` / :meth:`from_dict` round-trip the whole
-  session state (pairs included) through plain JSON-compatible data, so
-  shards can live in different processes or machines.  Accumulators are
-  packed as base64-encoded raw bytes with a dtype/shape header (compact
-  and O(1) Python objects per array); payloads written by older versions,
-  which shipped nested lists, still load transparently.
+* **Portable** — :meth:`to_partial` is the session's one wire form: the
+  integer accumulators, accounting and ledger charges as a
+  :class:`~repro.distributed.PartialAggregate`, whose ``to_dict`` is plain
+  JSON.  With the published pairs (``HashPairs.to_dict``) it rebuilds the
+  session in another process:
+  ``JoinSession(params, pairs=pairs).merge(PartialAggregate.from_dict(payload))``.
 
 Two-way joins need no schema: ``collect("A", ...)``, ``collect("B", ...)``,
 ``estimate()``.  Multiway chains declare one width per join attribute and
@@ -66,7 +66,6 @@ from ..hashing import HashPairs
 from ..privacy.budget import BudgetLedger
 from ..reliability.faults import fault_point
 from ..rng import RandomState, ensure_rng
-from ..serialization import decode_array, encode_array
 from .result import EstimateResult
 
 if TYPE_CHECKING:  # pragma: no cover - the distributed layer imports this module
@@ -227,7 +226,7 @@ class JoinSession:
         process-wide selection).  Every ingest and sketch
         materialisation of this session runs scoped to it.  A runtime
         preference, not state: it does not travel through
-        :meth:`to_dict` and does not affect mergeability — shards built
+        :meth:`to_partial` and does not affect mergeability — shards built
         on different backends produce bit-identical accumulators.
     """
 
@@ -301,7 +300,7 @@ class JoinSession:
         """An empty sibling session sharing this session's pairs.
 
         Shards ingest independently (in other threads, processes or
-        machines — see :meth:`to_dict`) and are folded back with
+        machines — see :meth:`to_partial`) and are folded back with
         :meth:`merge`.  The shard inherits this session's backend pin.
         """
         return JoinSession(
@@ -496,9 +495,9 @@ class JoinSession:
         The partial carries the pre-transform integer accumulators, the
         additive accounting and the privacy-ledger charges, fingerprinted
         by :meth:`shard_fingerprint` — everything another aggregator
-        needs to fold this shard in safely, at a fraction of the
-        :meth:`to_dict` payload (no hash-pair coefficients, just their
-        digest).  Feed it to :meth:`merge`, a
+        needs to fold this shard in safely.  The hash pairs travel apart
+        (``HashPairs.to_dict``); the partial holds only their digest.
+        Feed it to :meth:`merge`, a
         :func:`~repro.distributed.merge_tree`, or a
         :class:`~repro.distributed.ShardCheckpoint`.
 
@@ -786,75 +785,6 @@ class JoinSession:
     def second_moment(self, stream: str) -> float:
         """Debiased self-join (``F2``) estimate of one end stream."""
         return self.sketch(stream).second_moment()
-
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Serialise the full session state (JSON-compatible).
-
-        Everything a remote shard needs travels along: parameters, hash
-        pairs, per-stream accumulators and accounting.  Accumulators ship
-        as base64-encoded raw bytes plus a dtype/shape header — roughly
-        half the JSON footprint of the old ``tolist()`` payloads and no
-        per-element Python objects; :meth:`from_dict` reads both the
-        packed format and the legacy nested lists.
-        """
-        streams = {}
-        for name, state in self._streams.items():
-            if isinstance(state, _EndStream):
-                entry = {"kind": "end", "attribute": state.attribute}
-            else:
-                entry = {"kind": "middle", "attribute": state.left_attribute}
-            entry.update(
-                raw=encode_array(state.raw),
-                num_reports=state.num_reports,
-                uplink_bits=state.uplink_bits,
-                cohorts=state.cohorts,
-            )
-            streams[name] = entry
-        return {
-            "params": {
-                "k": self.params.k,
-                "m": self.params.m,
-                "epsilon": self.params.epsilon,
-            },
-            "pairs": [p.to_dict() for p in self._pairs],
-            "streams": streams,
-            "charges": [list(charge) for charge in self.ledger.charges],
-            "offline_seconds": self.offline_seconds,
-            "label": self._label,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "JoinSession":
-        """Rebuild a session serialised by :meth:`to_dict`."""
-        params = SketchParams(**payload["params"])
-        pairs = [HashPairs.from_dict(p) for p in payload["pairs"]]
-        session = cls(params, pairs=pairs)
-        for name, entry in payload["streams"].items():
-            state = session._new_state(name, entry["kind"], int(entry["attribute"]))
-            raw = decode_array(entry["raw"], np.int64)
-            if raw.shape != state.raw.shape:
-                raise ParameterError(
-                    f"stream {name!r} accumulator shaped {raw.shape}, "
-                    f"expected {state.raw.shape}"
-                )
-            state.raw = raw
-            state.num_reports = int(entry["num_reports"])
-            state.uplink_bits = int(entry["uplink_bits"])
-            state.cohorts = int(entry["cohorts"])
-            session._streams[name] = state
-        session.ledger.restore(payload.get("charges", []))
-        session.offline_seconds = float(payload.get("offline_seconds", 0.0))
-        # Keep the serialised label: sessions rebooted in separate worker
-        # processes must stay distinguishable when merged, not all reboot
-        # under the restarted process-wide counter.  Legacy payloads
-        # without one keep the fresh counter label from __init__.
-        label = payload.get("label")
-        if label:
-            session._label = str(label)
-        return session
 
     # ------------------------------------------------------------------
     # Internals

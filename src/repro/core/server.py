@@ -26,7 +26,6 @@ import numpy as np
 from ..accumulate import scatter_add_signed_units
 from ..errors import IncompatibleSketchError, ParameterError
 from ..hashing import HashPairs
-from ..serialization import decode_array, encode_array
 from ..transform.hadamard import fwht_inplace
 from ..validation import as_value_array
 from .client import ReportBatch
@@ -40,8 +39,9 @@ class LDPJoinSketch:
 
     Instances are normally produced by :func:`build_sketch` or, from a
     merged raw accumulator, :meth:`from_raw`; the constructor accepts a
-    pre-computed counter array for internal uses (shifting, testing,
-    serialisation).
+    pre-computed counter array for internal uses (shifting, testing).
+    The sketch has no wire form of its own: the int64 accumulator it is
+    built from travels in a :class:`~repro.distributed.PartialAggregate`.
     """
 
     __slots__ = ("params", "pairs", "counts", "num_reports")
@@ -207,38 +207,6 @@ class LDPJoinSketch:
             self.counts - float(per_cell_mass),
             self.num_reports,
         )
-
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Serialise the sketch (parameters, hash pairs, counters).
-
-        The payload is plain JSON-compatible Python data, so a constructed
-        sketch can be persisted or shipped between processes; the hash
-        pairs travel with it, keeping the result joinable after
-        :meth:`from_dict`.  Counters are packed as base64-encoded raw
-        bytes (see :mod:`repro.serialization`); :meth:`from_dict` also
-        accepts the older nested-list payloads.
-        """
-        return {
-            "params": {
-                "k": self.params.k,
-                "m": self.params.m,
-                "epsilon": self.params.epsilon,
-            },
-            "pairs": self.pairs.to_dict(),
-            "counts": encode_array(self.counts),
-            "num_reports": self.num_reports,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LDPJoinSketch":
-        """Rebuild a sketch serialised by :meth:`to_dict` (either format)."""
-        params = SketchParams(**payload["params"])
-        pairs = HashPairs.from_dict(payload["pairs"])
-        counts = decode_array(payload["counts"], np.float64)
-        return cls(params, pairs, counts, int(payload["num_reports"]))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -361,12 +361,13 @@ class PartialAggregate:
     @classmethod
     def from_dict(cls, payload: dict) -> "PartialAggregate":
         """Rebuild a partial serialised by :meth:`to_dict`."""
-        if not isinstance(payload, dict) or payload.get("format") != PARTIAL_FORMAT:
+        if not isinstance(payload, dict):
             raise ParameterError(
-                f"not a partial-aggregate payload "
-                f"(format={payload.get('format')!r} if a dict)"
-                if isinstance(payload, dict)
-                else "not a partial-aggregate payload"
+                f"not a partial-aggregate payload (a {type(payload).__name__})"
+            )
+        if payload.get("format") != PARTIAL_FORMAT:
+            raise ParameterError(
+                f"not a partial-aggregate payload (format={payload.get('format')!r})"
             )
         version = payload.get("version")
         if (

@@ -293,13 +293,22 @@ def _run_shard(args: argparse.Namespace) -> int:
     import json
 
     from ..distributed import PartialAggregate, merge_tree
+    from ..errors import IncompatibleSketchError
 
     if args.shard_command == "merge":
-        partials = [
-            PartialAggregate.from_dict(json.loads(path.read_text()))
-            for path in args.partials
-        ]
-        merged = merge_tree(partials)
+        partials = []
+        for path in args.partials:
+            try:
+                partials.append(PartialAggregate.from_dict(json.loads(path.read_text())))
+            except (OSError, ValueError) as error:
+                # Unreadable, not JSON, not a partial, or a corrupt one.
+                print(f"[shard] cannot merge {path}: {error}", file=sys.stderr)
+                return 2
+        try:
+            merged = merge_tree(partials)
+        except IncompatibleSketchError as error:
+            print(f"[shard] {error}", file=sys.stderr)
+            return 2
         reports = merged.counters.get("num_reports", None)
         if reports is None:
             reports = sum(

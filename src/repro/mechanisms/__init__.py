@@ -15,7 +15,6 @@ from .flh import FLHOracle
 from .hcms import HCMSOracle
 from .ldpjs import LDPJoinSketchOracle
 from .oue import OUEOracle
-from .hadamard_response import HadamardResponseOracle
 
 __all__ = [
     "FrequencyOracle",
@@ -26,5 +25,4 @@ __all__ = [
     "HCMSOracle",
     "LDPJoinSketchOracle",
     "OUEOracle",
-    "HadamardResponseOracle",
 ]

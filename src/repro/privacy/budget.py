@@ -73,10 +73,10 @@ class BudgetLedger:
         colliding with one already in this ledger must be *renamed*, not
         summed into the existing group — otherwise disjoint-cohort
         charges would compose sequentially and the worst-case spend
-        would double.  The rename probes ``group@{label}1``,
-        ``group@{label}2``, ... until unique, so absorbing shard after
-        shard (each carrying the same bare stream groups, as happens
-        when every shard was rebuilt from ``from_dict`` in its own
+        would double.  The rename takes the first free name of
+        ``group@{label}1``, ``group@{label}2``, ..., so absorbing shard
+        after shard (each carrying the same bare stream groups, as
+        happens when every shard was rebuilt from its partial in its own
         process) never lands two charges in one group.
 
         Every merge path — session-vs-session, session-vs-partial —
@@ -86,27 +86,20 @@ class BudgetLedger:
         if not label:
             raise ParameterError("label must be a non-empty string")
         existing = {group for group, _, _ in self.charges}
+        # ``existing`` only grows during the call, so a group's first free
+        # suffix never falls below the last one taken: resume the probe
+        # there, and n charges sharing a few names cost O(n), not O(n^2).
+        taken: Dict[str, int] = {}
         # Snapshot: ``charges`` may alias the very list we append to.
         for group, epsilon, mechanism in list(charges):
-            candidate = str(group)
-            suffix = 0
+            name = candidate = str(group)
+            suffix = taken.get(name, 0)
             while candidate in existing:
                 suffix += 1
-                candidate = f"{group}@{label}{suffix}"
+                candidate = f"{name}@{label}{suffix}"
+            taken[name] = suffix
             existing.add(candidate)
             self.charges.append((candidate, float(epsilon), str(mechanism)))
-
-    def restore(self, charges: Iterable[Sequence]) -> None:
-        """Append serialised charges verbatim (deserialisation only).
-
-        Unlike :meth:`absorb` this performs no collision renaming: the
-        payload *is* a ledger that already went through the charge /
-        absorb rules, and duplicate groups in it legitimately encode
-        sequential composition.  Only use when rebuilding a ledger from
-        its own serialised form.
-        """
-        for group, epsilon, mechanism in list(charges):
-            self.charges.append((str(group), float(epsilon), str(mechanism)))
 
     def spend_by_group(self) -> Dict[str, float]:
         """Total (sequentially composed) spend per user group."""

@@ -1,21 +1,17 @@
 """Compact JSON-safe ndarray serialisation.
 
-Sketch payloads used to ship their counter arrays as nested Python lists
-(``counts.tolist()``), which costs ~20 bytes of JSON per float and an
-O(elements) Python-object round-trip on both ends.  The codec here instead
-embeds the raw C-order array bytes as base64 with an explicit dtype/shape
-header — about 11 bytes per float64 after base64 expansion, zero per-element
-Python work, and still plain JSON.
-
-:func:`decode_array` keeps a backward-compatible read path: payloads
-written by older versions (bare nested lists) decode transparently, so
-persisted sketches and sessions remain loadable.
+A nested Python list (``array.tolist()``) costs ~20 bytes of JSON per
+float and an O(elements) Python-object round-trip on both ends.  The
+codec here instead embeds the raw C-order array bytes as base64 with an
+explicit dtype/shape header — about 11 bytes per float64 after base64
+expansion, zero per-element Python work, and still plain JSON.
+:func:`decode_array` reads only that packed form.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Any, Dict, Union
+from typing import Any, Dict
 
 import numpy as np
 
@@ -23,7 +19,7 @@ from .errors import ParameterError
 
 __all__ = ["encode_array", "decode_array"]
 
-#: Marker distinguishing packed payloads from legacy nested lists.
+#: Marker of a packed payload.
 _FORMAT = "ndarray/base64"
 
 
@@ -56,28 +52,30 @@ def encode_array(array: np.ndarray) -> Dict[str, Any]:
     }
 
 
-def decode_array(payload: Union[Dict[str, Any], list], dtype: np.dtype) -> np.ndarray:
-    """Unpack :func:`encode_array` output *or* a legacy nested list.
+def decode_array(payload: Dict[str, Any], dtype: np.dtype) -> np.ndarray:
+    """Unpack :func:`encode_array` output.
 
-    ``dtype`` is the accumulator dtype the caller expects; packed payloads
-    are cast to it after decoding (a no-op when the dtypes already match),
-    legacy lists are parsed straight into it.
+    ``dtype`` is the accumulator dtype the caller expects; the decoded
+    array is cast to it (a no-op when the dtypes already match).  Any
+    other payload, such as a bare nested list, raises
+    :class:`~repro.errors.ParameterError`.
     """
-    if isinstance(payload, dict):
-        if payload.get("format") != _FORMAT:
-            raise ParameterError(
-                f"unknown array payload format {payload.get('format')!r}"
-            )
-        raw = base64.b64decode(payload["data"])
-        stored = np.dtype(payload["dtype"])
-        shape = tuple(int(s) for s in payload["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if len(raw) != count * stored.itemsize:
-            raise ParameterError(
-                f"array payload holds {len(raw)} bytes, expected "
-                f"{count * stored.itemsize} for shape {shape} dtype {stored}"
-            )
-        array = np.frombuffer(raw, dtype=stored).reshape(shape)
-        # np.frombuffer views are read-only; always hand back a writable copy.
-        return np.array(array, dtype=dtype)
-    return np.asarray(payload, dtype=dtype)
+    if not isinstance(payload, dict):
+        raise ParameterError(
+            f"array payload must be a {_FORMAT!r} format object, "
+            f"got a {type(payload).__name__}"
+        )
+    if payload.get("format") != _FORMAT:
+        raise ParameterError(f"unknown array payload format {payload.get('format')!r}")
+    raw = base64.b64decode(payload["data"])
+    stored = np.dtype(payload["dtype"])
+    shape = tuple(int(s) for s in payload["shape"])
+    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    if len(raw) != count * stored.itemsize:
+        raise ParameterError(
+            f"array payload holds {len(raw)} bytes, expected "
+            f"{count * stored.itemsize} for shape {shape} dtype {stored}"
+        )
+    array = np.frombuffer(raw, dtype=stored).reshape(shape)
+    # np.frombuffer views are read-only; always hand back a writable copy.
+    return np.array(array, dtype=dtype)

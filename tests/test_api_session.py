@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from repro.api import EstimateResult, JoinSession
 from repro.core import SketchParams, build_sketch, encode_reports
+from repro.distributed import PartialAggregate
 from repro.errors import IncompatibleSketchError, ParameterError, ProtocolError
+from repro.hashing import HashPairs
 from repro.join import exact_join_size
 
 from .conftest import zipf_values
@@ -29,6 +31,16 @@ def streams():
         zipf_values(20_000, 256, 1.3, seed=1),
         zipf_values(20_000, 256, 1.3, seed=2),
     )
+
+
+def through_json(session: JoinSession) -> JoinSession:
+    """``session`` rebuilt in a fresh object from its JSON wire form only:
+    the partial and the published pairs, as another process reads them."""
+    pairs = json.loads(json.dumps([p.to_dict() for p in session.pairs]))
+    payload = json.loads(json.dumps(session.to_partial().to_dict()))
+    return JoinSession(
+        session.params, pairs=[HashPairs.from_dict(p) for p in pairs]
+    ).merge(PartialAggregate.from_dict(payload))
 
 
 class TestCollectAndEstimate:
@@ -203,14 +215,28 @@ class TestSharding:
             session.merge(session)
 
     def test_serialisation_round_trip(self, params, streams):
+        """End and middle streams answer every query identically after a
+        JSON round-trip of the partial and the pairs."""
         a, b = streams
-        session = JoinSession(params, seed=3)
+        rng = np.random.default_rng(4)
+        session = JoinSession(params, attribute_widths=[128, 64], seed=3)
         session.collect("A", a)
-        session.collect("B", b)
-        payload = json.loads(json.dumps(session.to_dict()))
-        restored = JoinSession.from_dict(payload)
-        assert restored.estimate().estimate == session.estimate().estimate
-        assert restored.num_reports("A") == session.num_reports("A")
+        session.collect("A2", b)
+        session.collect_pair("M", rng.integers(0, 256, 5_000), rng.integers(0, 256, 5_000))
+        session.collect("B", b[:5_000], attribute=1)
+        restored = through_json(session)
+        assert restored.streams() == session.streams()
+        assert restored.estimate("A", "A2").estimate == session.estimate("A", "A2").estimate
+        assert (
+            restored.estimate_chain(["A", "M", "B"]).estimate
+            == session.estimate_chain(["A", "M", "B"]).estimate
+        )
+        probe = np.arange(40)
+        assert (restored.frequencies("A", probe) == session.frequencies("A", probe)).all()
+        assert restored.second_moment("B") == session.second_moment("B")
+        assert restored.num_reports("M") == session.num_reports("M")
+        assert restored.ledger.charges == session.ledger.charges
+        assert restored.offline_seconds == session.offline_seconds
         # A restored shard keeps merging with the original lineage.
         session.merge(restored)
         assert session.num_reports("A") == 2 * a.size
@@ -254,8 +280,8 @@ class TestLedgerMergeInvariance:
     ``merge`` used to rename colliding charge groups with a fixed
     ``group@{label}`` tag and no uniqueness probing.  Labels are a
     per-process counter (``shard1``, ``shard2``, ...), so two sessions
-    rebuilt via ``from_dict`` in different processes rebooted with the
-    SAME label; merging their disjoint cohorts then landed both charges
+    rebuilt in different processes could carry the SAME label; merging
+    their disjoint cohorts then landed both charges
     in one group and sequential composition doubled the reported spend
     (2eps instead of eps).  These tests pin the repaired invariant:
     K disjoint shards keep worst-case spend eps through every merge
@@ -273,7 +299,7 @@ class TestLedgerMergeInvariance:
 
     def test_pinned_2eps_regression_same_label(self, params, streams):
         # The exact pre-fix failure: two shards forced onto one label (as
-        # happens when both were from_dict-rebooted in sibling processes).
+        # happens when both were rebooted in sibling processes).
         a, _ = streams
         coordinator, (shard1, shard2) = self._shards(params, a[:200], 2)
         shard1._label = shard2._label = "shard1"
@@ -290,34 +316,26 @@ class TestLedgerMergeInvariance:
         a, _ = streams
         coordinator, shards = self._shards(params, a[:300], 3)
         for shard in shards:
-            rebooted = JoinSession.from_dict(
-                json.loads(json.dumps(shard.to_dict()))
-            )
-            coordinator.merge(rebooted)
+            coordinator.merge(through_json(shard))
         assert coordinator.ledger.worst_case_epsilon() == pytest.approx(
             params.epsilon
         )
         groups = [g for g, _, _ in coordinator.ledger.charges]
         assert len(groups) == len(set(groups)) == 3
 
-    def test_label_survives_serialisation(self, params, streams):
+    def test_rebuilt_session_takes_a_fresh_label(self, params, streams):
+        # The label does not travel: merging a session with its own
+        # rebuild still renames the rebuild's cohort apart.
         a, _ = streams
         session = JoinSession(params, seed=3)
         session.collect("A", a[:50])
-        payload = json.loads(json.dumps(session.to_dict()))
-        assert payload["label"] == session._label
-        restored = JoinSession.from_dict(payload)
-        assert restored._label == session._label
-
-    def test_legacy_payload_without_label_still_loads(self, params, streams):
-        a, _ = streams
-        session = JoinSession(params, seed=3)
-        session.collect("A", a[:50])
-        payload = json.loads(json.dumps(session.to_dict()))
-        del payload["label"]  # pre-fix payloads carried no label
-        restored = JoinSession.from_dict(payload)
+        restored = through_json(session)
+        assert restored._label and restored._label != session._label
         assert restored.num_reports("A") == 50
-        assert restored._label  # fresh counter label, never empty
+        session.merge(restored)
+        groups = [g for g, _, _ in session.ledger.charges]
+        assert groups == ["A", f"A@{restored._label}1"]
+        assert session.ledger.worst_case_epsilon() == pytest.approx(params.epsilon)
 
     def test_partial_merge_path_keeps_epsilon(self, params, streams):
         a, _ = streams
@@ -356,11 +374,9 @@ class TestLedgerMergeInvariance:
         values = np.arange(shard_count * 16)
         coordinator, shards = self._shards(params, values, shard_count, seed=7)
         for index, shard in enumerate(shards):
-            shard._label = labels[index]
             if (serialize_mask >> index) & 1:
-                shard = JoinSession.from_dict(
-                    json.loads(json.dumps(shard.to_dict()))
-                )
+                shard = through_json(shard)
+            shard._label = labels[index]
             coordinator.merge(shard.to_partial() if use_partials else shard)
         assert coordinator.ledger.worst_case_epsilon() == pytest.approx(
             params.epsilon

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import json
 import subprocess
 import sys
 
 import pytest
 
+from repro.distributed import PartialAggregate, merge_tree
 from repro.experiments.cli import build_parser, main
 from repro.experiments.figures import ALL_EXPERIMENTS
 
@@ -112,6 +114,74 @@ class TestMain:
         )
         assert result.returncode == 0
         assert "fig15" in result.stdout
+
+
+def flip_checksum(text):
+    """A partial's JSON text with one bit of its crc flipped."""
+    payload = json.loads(text)
+    payload["checksum"] ^= 1
+    return json.dumps(payload)
+
+
+class TestShardSubcommand:
+    @staticmethod
+    def _write_partials(tmp_path, capsys, method="ldp-join-sketch", shards=3, seed=2024):
+        directory = tmp_path / f"{method}-{seed}"
+        code = main(
+            [
+                "shard", "run", "--method", method, "--shards", str(shards),
+                "--seed", str(seed), "--scale", "0.0005", "--k", "3", "--m", "32",
+                "--partials-dir", str(directory),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        return sorted(directory.glob("*.json"))
+
+    @pytest.mark.parametrize("method", ["ldp-join-sketch", "krr", "fagms"])
+    def test_merge_writes_the_tree_merge_of_the_run_partials(self, tmp_path, capsys, method):
+        paths = self._write_partials(tmp_path, capsys, method=method)
+        assert len(paths) == 3
+        out = tmp_path / "merged.json"
+        assert main(["shard", "merge", *map(str, paths), "--out", str(out)]) == 0
+        assert "merged 3 partial(s)" in capsys.readouterr().out
+        expected = merge_tree(
+            [PartialAggregate.from_dict(json.loads(path.read_text())) for path in paths]
+        )
+        assert json.loads(out.read_text()) == json.loads(json.dumps(expected.to_dict()))
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda text: "not json", "Expecting value"),
+            (lambda text: '{"format": "x"}', "format='x'"),
+            (None, "No such file"),
+            (flip_checksum, "content checksum"),
+        ],
+        ids=["not-json", "wrong-format", "missing", "corrupt"],
+    )
+    def test_a_bad_file_exits_2_naming_it(self, tmp_path, capsys, damage, message):
+        (good,) = self._write_partials(tmp_path, capsys, shards=1)
+        bad = tmp_path / "bad.json"
+        if damage is not None:
+            bad.write_text(damage(good.read_text()))
+        assert main(["shard", "merge", str(good), str(bad)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert str(bad) in err and message in err
+
+    def test_partials_of_two_methods_exit_2(self, tmp_path, capsys):
+        paths = self._write_partials(tmp_path, capsys, shards=1)
+        paths += self._write_partials(tmp_path, capsys, method="krr", shards=1)
+        assert main(["shard", "merge", *map(str, paths)]) == 2
+        assert "method mismatch" in capsys.readouterr().err
+
+    def test_partials_of_two_seeds_exit_2(self, tmp_path, capsys):
+        paths = self._write_partials(tmp_path, capsys, shards=1)
+        paths += self._write_partials(tmp_path, capsys, shards=1, seed=5)
+        assert main(["shard", "merge", *map(str, paths)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "mismatch" in err
 
 
 class TestLintSubcommand:

@@ -223,30 +223,6 @@ class TestChunkBoundedMemory:
 
 
 class TestSerializationCompat:
-    def test_session_roundtrips_old_list_payloads(self, params):
-        session = JoinSession(params, seed=61)
-        session.collect("A", np.random.default_rng(62).integers(0, 300, size=3_000))
-        payload = session.to_dict()
-        # Downgrade to the legacy wire format: nested lists.
-        for entry in payload["streams"].values():
-            entry["raw"] = decode_array(entry["raw"], np.int64).tolist()
-        restored = JoinSession.from_dict(json.loads(json.dumps(payload)))
-        assert np.array_equal(
-            restored._streams["A"].raw, session._streams["A"].raw
-        )
-
-    def test_sketch_roundtrips_old_list_payloads(self, params, pairs):
-        values = np.random.default_rng(63).integers(0, 300, size=3_000)
-        sketch = build_sketch(
-            encode_reports(values, params, pairs, np.random.default_rng(64)), pairs
-        )
-        payload = sketch.to_dict()
-        payload["counts"] = decode_array(payload["counts"], np.float64).tolist()
-        from repro.core import LDPJoinSketch
-
-        restored = LDPJoinSketch.from_dict(json.loads(json.dumps(payload)))
-        assert np.array_equal(restored.counts, sketch.counts)
-
     def test_packed_format_roundtrip_exact(self):
         rng = np.random.default_rng(65)
         for arr in (
@@ -263,6 +239,13 @@ class TestSerializationCompat:
     def test_unknown_format_rejected(self):
         with pytest.raises(ParameterError, match="format"):
             decode_array({"format": "mystery", "data": ""}, np.int64)
+        with pytest.raises(ParameterError, match="got a list"):
+            decode_array([[1, -1], [0, 2]], np.int64)
+
+    @pytest.mark.parametrize("payload", ["AQID", 7, None], ids=["str", "int", "none"])
+    def test_only_the_packed_dict_decodes(self, payload):
+        with pytest.raises(ParameterError, match=f"got a {type(payload).__name__}$"):
+            decode_array(payload, np.int64)
 
     def test_narrowed_integers_survive(self):
         arr = np.array([[-128, 127], [0, 1]], dtype=np.int64)

@@ -9,7 +9,6 @@ from repro.errors import DomainError, ProtocolError
 from repro.join import exact_join_size
 from repro.mechanisms import (
     FLHOracle,
-    HadamardResponseOracle,
     HCMSOracle,
     KRROracle,
     LDPJoinSketchOracle,
@@ -27,7 +26,6 @@ ALL_ORACLES = [
     (HCMSOracle, {"k": 9, "m": 128}),
     (LDPJoinSketchOracle, {"k": 9, "m": 128}),
     (OUEOracle, {}),
-    (HadamardResponseOracle, {}),
 ]
 
 

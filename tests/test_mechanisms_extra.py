@@ -1,5 +1,5 @@
-"""Tests for the extended mechanism family (OUE, Hadamard Response) and
-the predicate-restricted join feature."""
+"""Tests for the extended mechanism family (OUE) and the
+predicate-restricted join feature."""
 
 from __future__ import annotations
 
@@ -12,9 +12,8 @@ import pytest
 from repro.core import SketchParams, build_sketch, encode_reports
 from repro.hashing import HashPairs
 from repro.join import FrequencyVector
-from repro.mechanisms import HadamardResponseOracle, OUEOracle
+from repro.mechanisms import OUEOracle
 from repro.privacy import verify_ldp
-from repro.transform import hadamard_matrix
 
 from .conftest import zipf_values
 
@@ -61,70 +60,6 @@ class TestOUE:
         ok, ratio = verify_ldp(dist, list(range(domain)), eps)
         assert ok
         assert ratio == pytest.approx(math.exp(eps))
-
-
-class TestHadamardResponse:
-    def test_order_covers_domain(self):
-        oracle = HadamardResponseOracle(100, 1.0, 0)
-        assert oracle.order >= 101
-        assert oracle.order & (oracle.order - 1) == 0
-
-    def test_unbiased_on_planted_value(self):
-        domain, count = 100, 10_000
-        values = np.concatenate(
-            [np.full(count, 9, dtype=np.int64), zipf_values(5_000, domain, 1.2, 4)]
-        )
-        estimates = []
-        for seed in range(8):
-            oracle = HadamardResponseOracle(domain, 2.0, seed=seed)
-            oracle.collect(values)
-            estimates.append(float(oracle.frequencies(np.asarray([9]))[0]))
-        true = count + int(np.sum(zipf_values(5_000, domain, 1.2, 4) == 9))
-        assert abs(float(np.mean(estimates)) - true) < 0.1 * true
-
-    def test_report_distribution_two_level(self):
-        """Empirically: Pr[y in S_d] == e^eps/(e^eps+1)."""
-        domain, eps = 10, 1.5
-        oracle = HadamardResponseOracle(domain, eps, seed=5)
-        values = np.full(60_000, 4, dtype=np.int64)
-        oracle.collect(values)
-        h = hadamard_matrix(oracle.order)
-        in_set = h[5] == 1  # row d + 1
-        observed = float(oracle._report_histogram[in_set].sum() / oracle.num_reports)
-        expected = math.exp(eps) / (math.exp(eps) + 1.0)
-        assert abs(observed - expected) < 0.01
-
-    def test_exact_ldp_audit(self):
-        domain, eps = 6, 1.0
-        oracle = HadamardResponseOracle(domain, eps, seed=6)
-        h = hadamard_matrix(oracle.order)
-        p = math.exp(eps) / (math.exp(eps) + 1.0)
-        half = oracle.order // 2
-
-        def dist(x: int):
-            row = h[x + 1]
-            return {
-                j: (p / half if row[j] == 1 else (1.0 - p) / half)
-                for j in range(oracle.order)
-            }
-
-        ok, ratio = verify_ldp(dist, list(range(domain)), eps)
-        assert ok
-        assert ratio == pytest.approx(math.exp(eps))
-
-    def test_wht_readout_matches_naive_counting(self):
-        domain = 20
-        oracle = HadamardResponseOracle(domain, 2.0, seed=7)
-        oracle.collect(zipf_values(5_000, domain, 1.3, 8))
-        h = hadamard_matrix(oracle.order)
-        candidates = np.arange(domain)
-        fast = oracle.frequencies(candidates)
-        p = oracle.p
-        naive = []
-        for d in candidates:
-            support = float(oracle._report_histogram[h[d + 1] == 1].sum())
-            naive.append((support - oracle.num_reports / 2.0) / (p - 0.5))
-        assert np.allclose(fast, naive)
 
 
 class TestRestrictedJoin:

@@ -20,7 +20,6 @@ from repro.errors import IncompatibleSketchError, PartialIntegrityError
 from repro.hashing import HashPairs
 from repro.mechanisms import (
     FLHOracle,
-    HadamardResponseOracle,
     HCMSOracle,
     KRROracle,
     LDPJoinSketchOracle,
@@ -41,7 +40,6 @@ ACCUMULATORS = {
     "flh": lambda seed: FLHOracle(DOMAIN, EPSILON, seed, pool_size=32),
     "hcms": lambda seed: HCMSOracle(DOMAIN, EPSILON, seed, k=3, m=64),
     "ldpjs": lambda seed: LDPJoinSketchOracle(DOMAIN, EPSILON, seed, k=3, m=64),
-    "hr": lambda seed: HadamardResponseOracle(DOMAIN, EPSILON, seed),
     "fagms": lambda seed: FastAGMSSketch(HashPairs(3, 32, seed)),
 }
 

@@ -8,7 +8,6 @@ import pytest
 from repro.errors import IncompatibleSketchError
 from repro.mechanisms import (
     FLHOracle,
-    HadamardResponseOracle,
     HCMSOracle,
     KRROracle,
     LDPJoinSketchOracle,
@@ -30,7 +29,6 @@ def _factories():
         "flh": lambda seed: FLHOracle(DOMAIN, EPSILON, seed, pool_size=32),
         "hcms": lambda seed: HCMSOracle(DOMAIN, EPSILON, seed, k=3, m=64),
         "ldpjs": lambda seed: LDPJoinSketchOracle(DOMAIN, EPSILON, seed, k=3, m=64),
-        "hr": lambda seed: HadamardResponseOracle(DOMAIN, EPSILON, seed),
     }
 
 

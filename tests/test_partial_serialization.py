@@ -3,7 +3,7 @@
 Two families:
 
 * **save → load → merge == merge** — every :class:`PartialAggregate` a
-  driver can emit (and every session payload) must round-trip through
+  driver or a session can emit must round-trip through
   JSON and then merge to byte-identical state, so partials can travel
   files/queues/RPC without perturbing a single bit;
 * **unsafe merges are refused** — a partial built under the wrong seed,
@@ -29,12 +29,14 @@ from repro.data.base import JoinInstance
 from repro.distributed import (
     PartialAggregate,
     ShardCheckpoint,
+    content_checksum,
     ingest_with_checkpoint,
     merge_sequential,
     merge_tree,
     prepare_shard_run,
 )
-from repro.errors import IncompatibleSketchError, ParameterError
+from repro.errors import IncompatibleSketchError, ParameterError, PartialIntegrityError
+from repro.hashing import HashPairs
 
 from .conftest import zipf_values
 
@@ -98,7 +100,8 @@ class TestPartialRoundTrip:
             assert _roundtrip(partial) == partial
 
     def test_session_payload_roundtrip_then_merge(self):
-        """Session to_dict payloads merge identically after a round-trip."""
+        """Sessions rebuilt from their partial and pairs JSON merge
+        identically to the shards themselves."""
         params = SketchParams(k=3, m=32, epsilon=2.0)
         coordinator = JoinSession(params, seed=5)
         shard_a = coordinator.spawn_shard()
@@ -109,12 +112,10 @@ class TestPartialRoundTrip:
         direct = JoinSession(params, pairs=coordinator.pairs)
         direct.merge(shard_a).merge(shard_b)
         via_json = JoinSession(params, pairs=coordinator.pairs)
-        via_json.merge(
-            JoinSession.from_dict(json.loads(json.dumps(shard_a.to_dict())))
-        )
-        via_json.merge(
-            JoinSession.from_dict(json.loads(json.dumps(shard_b.to_dict())))
-        )
+        for shard in (shard_a, shard_b):
+            pairs = json.loads(json.dumps([p.to_dict() for p in shard.pairs]))
+            rebuilt = JoinSession(params, pairs=[HashPairs.from_dict(p) for p in pairs])
+            via_json.merge(rebuilt.merge(_roundtrip(shard.to_partial())))
         np.testing.assert_array_equal(
             direct._streams["A"].raw, via_json._streams["A"].raw
         )
@@ -140,6 +141,21 @@ class TestPartialRoundTrip:
         with pytest.raises(ParameterError, match="partial-aggregate"):
             PartialAggregate.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "payload, found",
+        [
+            ({"format": "x", "version": 2}, "format='x'"),
+            ({"version": 2}, "format=None"),
+            ([{"format": "partial-aggregate"}], "a list"),
+            ("partial", "a str"),
+        ],
+        ids=["wrong-format", "no-format", "list", "str"],
+    )
+    def test_refusal_names_what_it_found(self, payload, found):
+        with pytest.raises(ParameterError) as error:
+            PartialAggregate.from_dict(payload)
+        assert str(error.value) == f"not a partial-aggregate payload ({found})"
+
     def test_tampered_array_payload_rejected(self, instance):
         estimator = get_estimator("krr")
         run = prepare_shard_run(estimator, instance, EPSILON, num_shards=2, seed=1)
@@ -148,6 +164,18 @@ class TestPartialRoundTrip:
         entry["data"] = entry["data"][: len(entry["data"]) // 2]
         with pytest.raises(ParameterError):
             PartialAggregate.from_dict(payload)
+
+    def test_nested_list_array_payload_rejected(self):
+        """Arrays load only in their packed form: a nested-list ``data``
+        is refused even under a recomputed checksum."""
+        session = JoinSession(SketchParams(k=3, m=32, epsilon=2.0), seed=5)
+        session.collect("A", zipf_values(300, DOMAIN, 1.3, seed=6), seed=1)
+        partial = session.to_partial()
+        payload = partial.to_dict()
+        payload["arrays"]["stream:A:raw"]["data"] = partial.arrays["stream:A:raw"].tolist()
+        payload["checksum"] = content_checksum(payload["arrays"])
+        with pytest.raises(PartialIntegrityError, match="stream:A:raw"):
+            PartialAggregate.from_dict(json.loads(json.dumps(payload)))
 
 
 class TestUnsafeMergeRefusal:

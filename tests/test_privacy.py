@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
@@ -159,6 +159,28 @@ class TestBudget:
             ledger.charge("A", -1.0, "m")
 
 
+#: Group names that collide often: bare names, their renames and
+#: look-alikes such as ``A@p2`` without ``A@p1``, or ``A@p1@p1``.
+LOOK_ALIKE_GROUPS = st.sampled_from(
+    ["A", "B", "A#2", "A@p1", "A@p2", "A@p1@p1", "A@q1", "B@p3"]
+)
+
+
+def absorb_probing_from_one(existing, charges, label):
+    """``existing`` plus ``charges`` renamed by probing ``group@{label}1``,
+    ``group@{label}2``, ... from 1 for every charge."""
+    taken = {group for group, _, _ in existing}
+    renamed = []
+    for group, epsilon, mechanism in charges:
+        candidate, suffix = group, 0
+        while candidate in taken:
+            suffix += 1
+            candidate = f"{group}@{label}{suffix}"
+        taken.add(candidate)
+        renamed.append((candidate, epsilon, mechanism))
+    return existing + renamed
+
+
 class TestAbsorbAndRestore:
     def test_absorb_renames_collisions(self):
         ledger = BudgetLedger()
@@ -208,12 +230,31 @@ class TestAbsorbAndRestore:
             BudgetLedger().absorb([("A", 1.0, "m")], label="")
 
     def test_restore_is_verbatim(self):
-        # Deserialisation must NOT rename: duplicate groups in a ledger's
-        # own payload legitimately encode sequential composition.
-        ledger = BudgetLedger()
-        ledger.restore([("A", 1.0, "m"), ("A", 2.0, "m")])
+        # A ledger rebuilt from its own charge list must NOT rename:
+        # duplicate groups there legitimately encode sequential composition.
+        ledger = BudgetLedger([("A", 1.0, "m"), ("A", 2.0, "m")])
         assert ledger.spend_by_group() == {"A": 3.0}
         assert ledger.worst_case_epsilon() == 3.0
+
+    @given(
+        existing=st.lists(LOOK_ALIKE_GROUPS, max_size=8),
+        batches=st.lists(st.lists(LOOK_ALIKE_GROUPS, max_size=12), min_size=1, max_size=4),
+        label=st.sampled_from(["p", "q", "p1"]),
+    )
+    @example(existing=["A", "A@p2"], batches=[["A", "A", "A"]], label="p")
+    @example(existing=["A", "A@p1", "A@p1@p1"], batches=[["A@p1", "A@p1", "A"]], label="p")
+    @settings(max_examples=200, deadline=None)
+    def test_absorb_matches_probing_from_one(self, existing, batches, label):
+        """Resuming each group's probe renames exactly as probing from 1."""
+        ledger = BudgetLedger()
+        for group in existing:
+            ledger.charge(group, 1.0, "m")
+        expected = list(ledger.charges)
+        for batch in batches:
+            charges = [(group, float(i + 1), "m") for i, group in enumerate(batch)]
+            expected = absorb_probing_from_one(expected, charges, label)
+            ledger.absorb(charges, label=label)
+        assert ledger.charges == expected
 
 
 class TestContinualLedger:

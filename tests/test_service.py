@@ -25,7 +25,7 @@ import pytest
 
 from repro.api import JoinSession
 from repro.core import SketchParams
-from repro.distributed import PartialAggregate
+from repro.distributed import PartialAggregate, content_checksum
 from repro.errors import (
     InjectedCrashError,
     ParameterError,
@@ -589,6 +589,37 @@ class TestAggregationService:
         assert "arrays must map names" in recovery["cold_start"]
         assert recovery["replayed"] == 8
         for tenant, stream, values in batches[8:]:
+            restarted.ingest(tenant, stream, values)
+        restarted.publish()
+        assert restarted.snapshot.digest == reference
+        restarted.close()
+
+    @pytest.mark.parametrize("epoch_interval", [0, 2], ids=["epochs-off", "epochs-on"])
+    def test_checkpoint_with_a_nested_list_array_cold_starts(self, tmp_path, epoch_interval):
+        """Arrays load only in their packed form, whatever the checksum says."""
+        batches = make_batches(20)
+        options = dict(epoch_interval=epoch_interval, window_epochs=1)
+        reference = run_to_digest(tmp_path / "ref", batches, **options)
+
+        crashed = AggregationService(make_config(tmp_path / "crash", **options))
+        crashed.start()
+        for tenant, stream, values in batches[:16]:
+            crashed.ingest(tenant, stream, values)
+        crashed.wal.close()
+        path = tmp_path / "crash" / "node.ckpt"
+        payload = json.loads(path.read_text())
+        arrays = payload["partial"]["arrays"]
+        name = f"stream:{TENANT}/A:raw"
+        raw = PartialAggregate.from_dict(payload["partial"]).arrays[name]
+        arrays[name]["data"] = raw.tolist()
+        payload["partial"]["checksum"] = content_checksum(arrays)
+        path.write_text(json.dumps(payload))
+
+        restarted = AggregationService(make_config(tmp_path / "crash", **options))
+        recovery = restarted.start()
+        assert name in recovery["cold_start"]
+        assert recovery["replayed"] == 16
+        for tenant, stream, values in batches[16:]:
             restarted.ingest(tenant, stream, values)
         restarted.publish()
         assert restarted.snapshot.digest == reference
@@ -1406,8 +1437,7 @@ class TestTemporalService:
             return sorted((group.split("#")[0].split("@")[0], eps) for group, eps, _ in rows)
 
         assert cohorts(charges[1]) == cohorts(charges[0])
-        ledger = BudgetLedger()
-        ledger.restore(charges[1])
+        ledger = BudgetLedger([tuple(charge) for charge in charges[1]])
         assert ledger.worst_case_epsilon() == 2.0
 
     @pytest.mark.parametrize("written_at", [0, 2])
