@@ -71,10 +71,24 @@ from .result import EstimateResult
 if TYPE_CHECKING:  # pragma: no cover - the distributed layer imports this module
     from ..distributed.partial import PartialAggregate
 
-__all__ = ["JoinSession"]
+__all__ = ["JoinSession", "check_stream_name"]
 
 #: Process-wide counter giving each session a unique label for ledger groups.
 _SESSION_IDS = itertools.count(1)
+
+
+def check_stream_name(stream: str) -> None:
+    """Refuse a stream name a generated ledger group name could collide with.
+
+    ``#`` and ``@`` mark generated groups: ``A#2`` is stream A's second
+    cohort, ``g@partial1`` a group a merge renamed.
+    """
+    for mark in "#@":
+        if mark in stream:
+            raise ParameterError(
+                f"stream name {stream!r} must not contain {mark!r} (reserved "
+                f"for ledger group names)"
+            )
 
 
 class _EndStream:
@@ -348,6 +362,7 @@ class JoinSession:
         """
         fault_point("session.ingest", stream=str(stream), attribute=int(attribute))
         start = time.perf_counter()
+        check_stream_name(stream)
         state = self._end_state(stream, attribute)
         expected = self.params_for(state.attribute)
         if isinstance(values, ReportBatch):
@@ -398,6 +413,7 @@ class JoinSession:
         raw columns or a pre-encoded :class:`MiddleReportBatch`.
         """
         start = time.perf_counter()
+        check_stream_name(stream)
         state = self._middle_state(stream, left_attribute)
         left_pairs = self._pairs[state.left_attribute]
         right_pairs = self._pairs[state.left_attribute + 1]

@@ -415,25 +415,33 @@ def _run_failover(args: argparse.Namespace) -> int:
     """The ``failover`` subcommand: group status and promotion."""
     import json
 
-    from ..errors import ReproError
+    from ..errors import ParameterError, ReproError
     from ..service.client import ResilientClient
+    from ..service.wire import parse_address, rejection_error, request
 
-    client = ResilientClient(args.endpoint, client_id="repro-failover")
+    try:
+        addresses = [parse_address(address) for address in args.endpoint]
+    except ParameterError as error:
+        print(f"failover: --endpoint {error}", file=sys.stderr)
+        return 2
     if args.failover_command == "promote":
-        info = client.promote(args.target)
+        info = ResilientClient(addresses, client_id="repro-failover").promote(args.target)
         print(json.dumps(info, sort_keys=True))
         return 0
     exit_code = 0
-    for index, endpoint in enumerate(client._endpoints):
+    for index, (host, port) in enumerate(addresses):
+        name = f"{host}:{port}"
         try:
-            status, body = client._request(endpoint, "GET", "/v1/status")
+            status, body = request(host, port, "GET", "/v1/status", timeout=10.0)
+            if status >= 300:
+                raise rejection_error(status, body, name)
         except (ConnectionError, ReproError) as error:
-            print(f"[{index}] {endpoint.name}: unreachable ({error})")
+            print(f"[{index}] {name}: unreachable ({error})")
             exit_code = 1
             continue
         snapshot = body.get("snapshot") or {}
         print(
-            f"[{index}] {endpoint.name}: role={body.get('role')} "
+            f"[{index}] {name}: role={body.get('role')} "
             f"epoch={body.get('fencing_epoch')} "
             f"wal_sequence={body.get('wal_sequence')} "
             f"last_checkpoint={body.get('last_checkpoint_sequence')} "

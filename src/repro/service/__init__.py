@@ -23,6 +23,9 @@ machinery — into a long-running, *replicated* HTTP collector:
   queues, per-tenant admission, 429 + Retry-After backpressure, request
   deadlines, typed 409 replication rejections, ``/healthz`` /
   ``/readyz``, graceful SIGTERM drain.
+* :mod:`repro.service.wire` — one codec per thing crossing a node's
+  HTTP boundary: ``HOST:PORT`` addresses, the outbound request, the
+  typed-rejection table and a shipment's raw frame and headers.
 
 Run one with ``repro-experiments serve`` or ``python -m repro.service``
 (``--role standby`` + ``--replica host:port`` wire up a group).

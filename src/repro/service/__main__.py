@@ -14,10 +14,12 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from ..errors import ParameterError
 from .core import ServiceConfig
 from .replication import ACK_MODES, ROLES, HttpReplica, ReplicatedService
 from .server import ServerConfig, run_server
 from .wal import FSYNC_POLICIES
+from .wire import parse_address
 
 __all__ = ["build_parser", "main"]
 
@@ -132,16 +134,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         from ..reliability.faults import FaultPlan, arm
 
         arm(FaultPlan.load(args.fault_plan))
-    replicas = []
-    for address in args.replica or []:
-        host, sep, port = str(address).rpartition(":")
-        try:
-            port_number = int(port)
-        except ValueError:
-            port_number = -1
-        if not sep or not host or not 0 < port_number < 65536:
-            raise SystemExit(f"--replica must be HOST:PORT, got {address!r}")
-        replicas.append(HttpReplica(host, port_number))
+    try:
+        replicas = [HttpReplica(*parse_address(address)) for address in args.replica or []]
+    except ParameterError as error:
+        raise SystemExit(f"--replica: {error}") from error
     service = ReplicatedService(
         ServiceConfig(
             data_dir=args.data_dir,

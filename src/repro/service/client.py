@@ -43,19 +43,13 @@ event loop.
 from __future__ import annotations
 
 import concurrent.futures
-import json
 import time
-from typing import Any, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
+from urllib.parse import urlencode
 
-from ..errors import (
-    FencedEpochError,
-    NotPrimaryError,
-    ParameterError,
-    ProtocolError,
-    ReproError,
-    RetryExhaustedError,
-)
+from ..errors import ParameterError, ProtocolError, ReproError, RetryExhaustedError
 from ..reliability.retry import AttemptRecord
+from .wire import parse_address, rejection_error, request
 
 __all__ = ["ResilientClient", "CircuitBreaker", "ClientReport"]
 
@@ -132,21 +126,6 @@ class ClientReport(dict):
         return bool(self.get("deduplicated", False))
 
 
-def _parse_endpoint(value: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
-    if isinstance(value, str):
-        host, sep, port = value.rpartition(":")
-        if not sep or not host:
-            raise ParameterError(
-                f"endpoint must be 'host:port' or (host, port), got {value!r}"
-            )
-        try:
-            return host, int(port)
-        except ValueError as error:
-            raise ParameterError(f"bad endpoint port in {value!r}") from error
-    host, port = value
-    return str(host), int(port)
-
-
 class ResilientClient:
     """Retrying, re-targeting, hedging client over N service endpoints.
 
@@ -183,7 +162,7 @@ class ResilientClient:
         self.backoff = float(backoff)
         self._endpoints: List[_Endpoint] = [
             _Endpoint(
-                *_parse_endpoint(value),
+                *parse_address(value),
                 CircuitBreaker(
                     failure_threshold=failure_threshold, cooldown=cooldown
                 ),
@@ -196,40 +175,16 @@ class ResilientClient:
     # ------------------------------------------------------------------
     # Raw HTTP
     # ------------------------------------------------------------------
-    def _request(
-        self,
-        endpoint: _Endpoint,
-        method: str,
-        path: str,
-        payload: Optional[Mapping[str, Any]] = None,
-    ) -> Tuple[int, dict]:
-        import http.client
+    def _request(self, endpoint: _Endpoint, method: str, path: str, payload=None):
+        """``(status, JSON body)`` of one request to ``endpoint``."""
+        return request(endpoint.host, endpoint.port, method, path, payload, timeout=self.timeout)
 
-        body = None
-        headers = {}
-        if payload is not None:
-            body = json.dumps(dict(payload)).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        connection = http.client.HTTPConnection(
-            endpoint.host, endpoint.port, timeout=self.timeout
-        )
-        try:
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
-        except (OSError, http.client.HTTPException) as error:
-            raise ConnectionError(f"{endpoint.name}: {error}") from error
-        finally:
-            connection.close()
-        try:
-            parsed = json.loads(raw.decode("utf-8")) if raw else {}
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise ProtocolError(
-                f"{endpoint.name} returned undecodable body: {error}"
-            ) from error
-        if not isinstance(parsed, dict):
-            parsed = {"body": parsed}
-        return response.status, parsed
+    def _call(self, endpoint: _Endpoint, method: str, path: str) -> dict:
+        """One request whose non-2xx answer raises its typed error."""
+        status, body = self._request(endpoint, method, path)
+        if status >= 300:
+            raise rejection_error(status, body, endpoint.name)
+        return body
 
     # ------------------------------------------------------------------
     # Target selection
@@ -314,7 +269,7 @@ class ResilientClient:
                 report["attempts"] = attempt + 1
                 report["idempotency_key"] = idempotency_key
                 return report
-            error = self._rejection(endpoint, status, body)
+            error = rejection_error(status, body, endpoint.name)
             attempts.append(self._attempt(attempt, operation, error, started))
             if status == 409:
                 # The node is alive and answered — its breaker is fine;
@@ -344,28 +299,10 @@ class ResilientClient:
             elapsed=time.monotonic() - started,
         )
 
-    @staticmethod
-    def _rejection(endpoint: _Endpoint, status: int, body: Mapping[str, Any]):
-        kind = body.get("error_kind")
-        if kind == "fenced":
-            return FencedEpochError(body.get("observed", 0), body.get("required", 0))
-        if kind == "not_primary":
-            return NotPrimaryError(body.get("role", "unknown"), body.get("reason", ""))
-        if status == 400:
-            return ParameterError(f"{endpoint.name}: {body.get('error', status)}")
-        return ProtocolError(
-            f"{endpoint.name} answered HTTP {status}: {body.get('error', '')}"
-        )
-
     # ------------------------------------------------------------------
     # Reads: hedged across the replication group
     # ------------------------------------------------------------------
-    def _hedged(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[Mapping[str, Any]] = None,
-    ) -> dict:
+    def _hedged(self, method: str, path: str) -> dict:
         """First-success-wins read: preferred node, then the field.
 
         The preferred endpoint gets ``hedge_delay`` seconds of exclusive
@@ -378,9 +315,7 @@ class ResilientClient:
         errors: List[Exception] = []
 
         def attempt(endpoint: _Endpoint) -> dict:
-            status, body = self._request(endpoint, method, path, payload)
-            if status >= 300:
-                raise self._rejection(endpoint, status, body)
+            body = self._call(endpoint, method, path)
             endpoint.breaker.record_success()
             body["endpoint"] = endpoint.name
             return body
@@ -443,18 +378,14 @@ class ResilientClient:
         ``window=W`` restricts the estimate to the newest ``W`` temporal
         epochs (the service must run with ``epoch_interval > 0``).
         """
-        target = f"/v1/estimate?tenant={tenant}&kind=join&streams={stream_a},{stream_b}"
+        query = {"tenant": tenant, "kind": "join", "streams": f"{stream_a},{stream_b}"}
         if window is not None:
-            target += f"&window={int(window)}"
-        return self._hedged("GET", target)
+            query["window"] = int(window)
+        return self._hedged("GET", "/v1/estimate?" + urlencode(query))
 
     def publish(self) -> dict:
         """Force a publish on the preferred (primary) node — not hedged."""
-        candidates = self._candidates()
-        status, body = self._request(candidates[0], "POST", "/v1/publish")
-        if status >= 300:
-            raise self._rejection(candidates[0], status, body)
-        return body
+        return self._call(self._candidates()[0], "POST", "/v1/publish")
 
     def promote(self, endpoint_index: int) -> dict:
         """Operator action: promote a specific endpoint to primary."""
@@ -465,8 +396,6 @@ class ResilientClient:
                 f"endpoint index {endpoint_index} out of range "
                 f"(have {len(self._endpoints)})"
             ) from error
-        status, body = self._request(endpoint, "POST", "/v1/promote")
-        if status >= 300:
-            raise self._rejection(endpoint, status, body)
+        body = self._call(endpoint, "POST", "/v1/promote")
         self._target = int(endpoint_index)
         return body

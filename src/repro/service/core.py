@@ -53,7 +53,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..api.session import JoinSession
+from ..api.session import JoinSession, check_stream_name
 from ..core.params import SketchParams
 from ..distributed.checkpoint import ShardCheckpoint
 from ..errors import (
@@ -356,7 +356,9 @@ class AggregationService:
         cursor = self._checkpoint_cursor(self._folded)
         temporal = self._temporal
         partial = (
-            temporal.prefix if self.config.epoch_interval else temporal.open_session.to_partial()
+            temporal.prefix
+            if self.config.epoch_interval
+            else temporal.open_session.to_partial(include_timing=False)
         )
         partial.meta["epoch_interval"] = self.config.epoch_interval  # what cursor counts
         self._checkpoint.flush(partial, cursor=cursor)
@@ -445,22 +447,17 @@ class AggregationService:
         Both write paths run it before their WAL append: :meth:`ingest`
         on a client's batch, and a standby on every shipped record.
         """
-        # '/' namespaces a tenant's streams in the session; '#' and '@'
-        # are the ledger's cohort (``A#2``) and merge (``g@partial1``)
-        # suffixes, so a name holding one could collide with a generated
-        # group name and split or merge another name's accounting.
-        for name, value, reserved in (
-            ("tenant", tenant, "/#@"),
-            ("stream", stream, "#@"),
+        for name, value, mark, use in (
+            ("tenant", tenant, "/", "it namespaces a tenant's streams"),
+            ("stream", stream, ",", "queries list streams comma-separated"),
         ):
             if not value or not isinstance(value, str):
                 raise ParameterError(f"{name} must be a non-empty string, got {value!r}")
-            for mark in reserved:
-                if mark in value:
-                    raise ParameterError(
-                        f"{name} must not contain {mark!r} (reserved for "
-                        f"stream and ledger group names), got {value!r}"
-                    )
+            if mark in value:
+                raise ParameterError(
+                    f"{name} must not contain {mark!r} (reserved: {use}), got {value!r}"
+                )
+        check_stream_name(f"{tenant}/{stream}")  # the session stream the fold collects
         # Everything the fold would reject is rejected here, before the
         # WAL append: a record that cannot fold would fail every replay.
         # The values' rule: ``int()`` would take ``0.7``, ``"0"``, ``False`` as 0.

@@ -77,9 +77,6 @@ and ``service.promote`` fires before the epoch bump.
 
 from __future__ import annotations
 
-import base64
-import binascii
-import json
 import logging
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -97,7 +94,8 @@ from ..errors import (
 )
 from ..reliability.faults import fault_point
 from .core import AggregationService, ServiceConfig
-from .wal import decode_frame
+from .wal import damage_frame, decode_frame
+from .wire import rejection_error, request, shipment_headers
 
 __all__ = [
     "ReplicatedService",
@@ -162,9 +160,10 @@ class HttpReplica(ReplicaLink):
 
     Synchronous by design: the primary's service core runs on the
     asyncio server's single worker thread, where blocking I/O is the
-    contract (the event loop never sees it).  Typed 409 rejections are
-    reconstructed from the response's ``error_kind`` so the primary's
-    protocol handling is transport-agnostic.
+    contract (the event loop never sees it).  The body is the WAL frame
+    exactly as appended, the epoch and sequence ride in two headers, and
+    typed rejections are rebuilt by :func:`~repro.service.wire.rejection_error`,
+    so the primary's protocol handling is transport-agnostic.
     """
 
     def __init__(self, host: str, port: int, *, timeout: float = 5.0) -> None:
@@ -174,64 +173,18 @@ class HttpReplica(ReplicaLink):
         self.name = f"{self.host}:{self.port}"
 
     def replicate(self, payload: Mapping[str, Any]) -> dict:
-        import http.client
-
-        body = json.dumps(dict(payload)).encode("utf-8")
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
+        status, body = request(
+            self.host,
+            self.port,
+            "POST",
+            "/v1/replicate",
+            payload["frame"],
+            headers=shipment_headers(payload),
+            timeout=self.timeout,
         )
-        try:
-            connection.request(
-                "POST",
-                "/v1/replicate",
-                body=body,
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            raw = response.read()
-        except (OSError, http.client.HTTPException) as error:
-            raise ConnectionError(
-                f"replica {self.name} unreachable: {error}"
-            ) from error
-        finally:
-            connection.close()
-        try:
-            parsed = json.loads(raw.decode("utf-8")) if raw else {}
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise ProtocolError(
-                f"replica {self.name} returned undecodable body: {error}"
-            ) from error
-        if response.status < 400:
-            return parsed
-        raise self._rejection(response.status, parsed)
-
-    def _rejection(self, status: int, body: Mapping[str, Any]) -> Exception:
-        """Rebuild the standby's typed rejection from its JSON body."""
-        kind = body.get("error_kind")
-        if kind == "fenced":
-            return FencedEpochError(body.get("observed", 0), body.get("required", 0))
-        if kind == "gap":
-            return ReplicaGapError(body.get("expected", 0), body.get("got", 0))
-        if kind == "diverged":
-            return ReplicaDivergenceError(
-                body.get("sequence", 0), body.get("reason", "")
-            )
-        if kind == "not_primary":
-            return NotPrimaryError(body.get("role", "unknown"), body.get("reason", ""))
-        if kind == "bad_frame":
-            return ParameterError(
-                f"replica {self.name} rejected frame: {body.get('error', status)}"
-            )
-        if status in (429, 503):
-            # Overload / quorum trouble downstream: transient, retryable.
-            return ConnectionError(
-                f"replica {self.name} unavailable (HTTP {status}): "
-                f"{body.get('error', '')}"
-            )
-        return ProtocolError(
-            f"replica {self.name} rejected replication with HTTP {status}: "
-            f"{body.get('error', '')}"
-        )
+        if status >= 300:
+            raise rejection_error(status, body, f"replica {self.name}")
+        return body
 
 
 class ReplicatedService(AggregationService):
@@ -339,11 +292,10 @@ class ReplicatedService(AggregationService):
     # Primary side: shipping
     # ------------------------------------------------------------------
     def _frame_payload(self, sequence: int) -> dict:
-        frame = self.wal.frame(sequence)
         return {
             "epoch": int(self.wal.epoch),
             "sequence": int(sequence),
-            "frame": base64.b64encode(frame).decode("ascii"),
+            "frame": self.wal.frame(sequence),
         }
 
     def _after_append(self, record: Mapping[str, Any], sequence: int) -> None:
@@ -400,7 +352,7 @@ class ReplicatedService(AggregationService):
                 replica=str(link.name),
             )
             if spec is not None and spec.kind in ("torn-write", "corrupt"):
-                payload = dict(payload, frame=self._damage(payload["frame"], spec.kind))
+                payload["frame"] = damage_frame(payload["frame"], spec.kind)
             try:
                 link.replicate(payload)
             except ReplicaGapError as error:
@@ -426,17 +378,6 @@ class ReplicatedService(AggregationService):
             cursor += 1
             self._cursors[index] = cursor
 
-    @staticmethod
-    def _damage(frame_b64: str, kind: str) -> str:
-        """Apply an injected in-transit tear/bit-flip to a frame."""
-        raw = base64.b64decode(frame_b64)
-        if kind == "torn-write":
-            raw = raw[: max(1, len(raw) // 2)]
-        else:
-            flip = len(raw) // 2
-            raw = raw[:flip] + bytes([raw[flip] ^ 0xFF]) + raw[flip + 1 :]
-        return base64.b64encode(raw).decode("ascii")
-
     # ------------------------------------------------------------------
     # Standby side: applying
     # ------------------------------------------------------------------
@@ -457,8 +398,10 @@ class ReplicatedService(AggregationService):
         try:
             epoch = int(payload["epoch"])
             sequence = int(payload["sequence"])
-            frame = base64.b64decode(str(payload["frame"]), validate=True)
-        except (KeyError, TypeError, ValueError, binascii.Error) as error:
+            frame = payload["frame"]
+            if not isinstance(frame, bytes):
+                raise TypeError(f"frame must be bytes, got {type(frame).__name__}")
+        except (KeyError, TypeError, ValueError) as error:
             raise ParameterError(
                 f"malformed replication payload: {error}"
             ) from error
@@ -468,7 +411,7 @@ class ReplicatedService(AggregationService):
             "service.replicate.apply", sequence=sequence, epoch=epoch
         )
         if spec is not None and spec.kind in ("torn-write", "corrupt"):
-            frame = base64.b64decode(self._damage(payload["frame"], spec.kind))
+            frame = damage_frame(frame, spec.kind)
         record = decode_frame(frame)  # crc-validated; ParameterError on damage
         # The primary's checks (names, attribute, integer values, domain)
         # but not its admission cap, which is a client policy.

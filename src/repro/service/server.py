@@ -38,7 +38,8 @@ Endpoints::
     GET  /v1/snapshot  latest snapshot identity (digest, wal_records)
     GET  /v1/status    operational summary (role, fencing_epoch,
                        wal_sequence, last_checkpoint_sequence, ...)
-    POST /v1/replicate one shipped WAL frame {"epoch", "sequence", "frame"}
+    POST /v1/replicate one shipped WAL frame: the frame bytes as the body,
+                       headers Repro-Epoch and Repro-Sequence
     POST /v1/promote   promote this node to primary (bumps the epoch)
     GET  /healthz      liveness     GET /readyz  readiness
 
@@ -49,6 +50,7 @@ the sender needs to react (current epoch, expected sequence, actual
 role), so a zombie primary can fence itself and a client can re-target
 without string-matching error messages.  A quorum shortfall is 503 —
 the batch is durable, only under-replicated — with ``Retry-After``.
+The table of every typed rejection is :data:`repro.service.wire.REJECTIONS`.
 """
 
 from __future__ import annotations
@@ -62,19 +64,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from ..errors import (
-    FencedEpochError,
-    InjectedFaultError,
-    NotPrimaryError,
-    ParameterError,
-    ProtocolError,
-    ReplicaDivergenceError,
-    ReplicaGapError,
-    ReplicationQuorumError,
-    ReproError,
-    RetryExhaustedError,
-)
+from ..errors import ParameterError, ProtocolError, ReproError
 from .core import AggregationService
+from .wire import BadFrameError, NotReplicatedError, read_shipment, rejection_answer
 
 __all__ = ["ServerConfig", "ServiceServer", "run_server"]
 
@@ -378,7 +370,7 @@ class ServiceServer:
                         )
                     except (asyncio.TimeoutError, asyncio.IncompleteReadError):
                         return
-                status, payload, extra = await self._dispatch(method, target, body)
+                status, payload, extra = await self._dispatch(method, target, headers, body)
                 keep_alive = headers.get("connection", "").lower() != "close"
                 await self._respond(
                     writer, status, payload, extra_headers=extra, keep_alive=keep_alive
@@ -441,7 +433,7 @@ class ServiceServer:
     # Routing
     # ------------------------------------------------------------------
     async def _dispatch(
-        self, method: str, target: str, body: bytes
+        self, method: str, target: str, headers: Mapping[str, str], body: bytes
     ) -> Tuple[int, dict, Optional[Dict[str, str]]]:
         split = urlsplit(target)
         path = split.path
@@ -499,16 +491,13 @@ class ServiceServer:
             if path == "/v1/replicate":
                 if method != "POST":
                     return 405, {"error": "use POST"}, None
-                return await self._handle_replicate(body)
+                return await self._handle_replicate(headers, body)
             if path == "/v1/promote":
                 if method != "POST":
                     return 405, {"error": "use POST"}, None
                 promote = getattr(self.service, "promote", None)
                 if promote is None:
-                    return 409, {
-                        "error": "this node is not replicated; nothing to promote",
-                        "error_kind": "not_replicated",
-                    }, None
+                    raise NotReplicatedError("this node is not replicated; nothing to promote")
                 loop = asyncio.get_running_loop()
                 info = await asyncio.wait_for(
                     loop.run_in_executor(self._executor, promote),
@@ -518,59 +507,8 @@ class ServiceServer:
             return 404, {"error": f"unknown path {path!r}"}, None
         except asyncio.TimeoutError:
             return 408, {"error": "request deadline exceeded"}, None
-        except FencedEpochError as error:
-            return 409, {
-                "error": str(error),
-                "error_kind": "fenced",
-                "observed": error.observed,
-                "required": error.required,
-            }, None
-        except ReplicaGapError as error:
-            return 409, {
-                "error": str(error),
-                "error_kind": "gap",
-                "expected": error.expected,
-                "got": error.got,
-            }, None
-        except ReplicaDivergenceError as error:
-            return 409, {
-                "error": str(error),
-                "error_kind": "diverged",
-                "sequence": error.sequence,
-                "reason": error.reason,
-            }, None
-        except NotPrimaryError as error:
-            return 409, {
-                "error": str(error),
-                "error_kind": "not_primary",
-                "role": error.role,
-                "reason": error.reason,
-            }, None
-        except ReplicationQuorumError as error:
-            # Durable locally, under-replicated: a retry (same
-            # idempotency key) re-drives shipping without re-folding.
-            return 503, {
-                "error": str(error),
-                "error_kind": "quorum",
-                "acked": error.acked,
-                "needed": error.needed,
-                "total": error.total,
-            }, {"Retry-After": "1"}
-        except ParameterError as error:
-            return 400, {"error": str(error)}, None
-        except ProtocolError as error:
-            return 409, {"error": str(error)}, None
-        except RetryExhaustedError as error:
-            return 503, {"error": str(error)}, None
-        except InjectedFaultError as error:
-            # An unabsorbed injected fault outside a retry wrapper: the
-            # chaos suite wants to see it surfaced, not masked as a 500.
-            return 503, {"error": str(error)}, None
         except Exception as error:  # noqa: BLE001 - answered, not dropped
-            # Whatever is left — an unmapped ReproError, or a bug such as
-            # the error that killed the ingest worker — is still
-            # answered with its name instead of a dropped connection.
-            return 500, {"error": f"{type(error).__name__}: {error}"}, None
+            return rejection_answer(error)
 
     async def _handle_report(
         self, body: bytes
@@ -622,38 +560,24 @@ class ServiceServer:
         return 200, ack, None
 
     async def _handle_replicate(
-        self, body: bytes
+        self, headers: Mapping[str, str], body: bytes
     ) -> Tuple[int, dict, Optional[Dict[str, str]]]:
         apply = getattr(self.service, "apply_replication", None)
         if apply is None:
-            return 409, {
-                "error": "this node is not replicated; it accepts no frames",
-                "error_kind": "not_replicated",
-            }, None
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            return 400, {
-                "error": f"body must be JSON: {error}",
-                "error_kind": "bad_frame",
-            }, None
-        if not isinstance(payload, dict):
-            return 400, {
-                "error": "body must be a JSON object",
-                "error_kind": "bad_frame",
-            }, None
+            raise NotReplicatedError("this node is not replicated; it accepts no frames")
+        shipment = read_shipment(headers, body)
         loop = asyncio.get_running_loop()
         try:
             # Same single-thread executor as ingest: applied frames and
             # local folds share one total order, exactly like the WAL.
             result = await asyncio.wait_for(
-                loop.run_in_executor(self._executor, lambda: apply(payload)),
+                loop.run_in_executor(self._executor, lambda: apply(shipment)),
                 self.config.request_timeout,
             )
         except ParameterError as error:
             # A torn/corrupt frame fails its crc inside decode_frame —
             # typed so the primary re-ships instead of guessing.
-            return 400, {"error": str(error), "error_kind": "bad_frame"}, None
+            raise BadFrameError(str(error)) from error
         return 200, result, None
 
     async def _handle_estimate(

@@ -56,8 +56,8 @@ Durability knob (``fsync=``):
     benchmarks chasing the no-durability ceiling.
 
 Fault points: ``service.wal.append`` fires before the frame is written.
-``torn-write`` / ``corrupt`` specs damage the frame bytes (truncate /
-flip one payload byte) and then raise
+``torn-write`` / ``corrupt`` specs damage the frame bytes
+(:func:`damage_frame`: truncate / flip the first payload byte) and then raise
 :class:`~repro.errors.InjectedCrashError`: a torn or corrupt frame can
 only exist because the writer died mid-write, so the injection models
 the whole event — damage on disk, process gone — and the chaos suite
@@ -83,6 +83,7 @@ __all__ = [
     "FSYNC_POLICIES",
     "encode_frame",
     "decode_frame",
+    "damage_frame",
 ]
 
 #: Two magic bytes opening every frame.
@@ -119,6 +120,36 @@ def encode_frame(record: Mapping[str, Any]) -> bytes:
     return _MAGIC + _HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
 
 
+def _parse_frame(data: bytes, offset: int) -> Tuple[dict, int]:
+    """The record of the frame at ``offset`` in ``data``, and where it ends.
+
+    The one frame parser: :func:`decode_frame` and the recovery scan both
+    call it, so a damaged frame gets the same reason from each — the
+    :class:`~repro.errors.ParameterError` message here, which recovery
+    reports as its tear reason.
+    """
+    start = offset + len(_MAGIC) + _HEADER.size
+    if len(data) < start:
+        raise ParameterError("truncated frame header")
+    if data[offset:offset + len(_MAGIC)] != _MAGIC:
+        raise ParameterError("bad frame magic")
+    length, crc = _HEADER.unpack_from(data, offset + len(_MAGIC))
+    if length > _MAX_FRAME_BYTES:
+        raise ParameterError(f"implausible frame length {length}")
+    if len(data) - start < length:
+        raise ParameterError(f"truncated payload ({len(data) - start} of {length} bytes)")
+    payload = data[start:start + length]
+    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        raise ParameterError("payload crc32 mismatch")
+    try:
+        record = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+        raise ParameterError(f"payload not valid JSON ({error})") from error
+    if not isinstance(record, dict):
+        raise ParameterError(f"payload must be a JSON object, got {type(record).__name__}")
+    return record, start + length
+
+
 def decode_frame(frame: bytes) -> dict:
     """Parse and integrity-check one shipped frame; returns its record.
 
@@ -127,34 +158,23 @@ def decode_frame(frame: bytes) -> dict:
     trailing bytes — so a replication stream corrupted in flight is
     rejected *before* it can touch a standby's WAL.
     """
-    if len(frame) < len(_MAGIC) + _HEADER.size:
-        raise ParameterError(
-            f"replication frame truncated at {len(frame)} bytes (header needs "
-            f"{len(_MAGIC) + _HEADER.size})"
-        )
-    if frame[:2] != _MAGIC:
-        raise ParameterError("replication frame has bad magic")
-    length, crc = _HEADER.unpack_from(frame, 2)
-    body = frame[2 + _HEADER.size :]
-    if len(body) != length:
-        raise ParameterError(
-            f"replication frame length mismatch ({len(body)} bytes of payload, "
-            f"header claims {length})"
-        )
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise ParameterError("replication frame payload crc32 mismatch")
-    try:
-        record = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ParameterError(
-            f"replication frame payload is not valid JSON ({error})"
-        ) from error
-    if not isinstance(record, dict):
-        raise ParameterError(
-            f"replication frame payload must be a JSON object, got "
-            f"{type(record).__name__}"
-        )
+    record, end = _parse_frame(frame, 0)
+    if end != len(frame):
+        raise ParameterError(f"{len(frame) - end} trailing bytes after the frame")
     return record
+
+
+def damage_frame(frame: bytes, kind: str) -> bytes:
+    """``frame`` as an injected ``torn-write`` or ``corrupt`` fault leaves it.
+
+    A tear keeps the first half; corruption flips the first payload byte,
+    which the crc check then refuses.  The WAL append and both
+    replication fault points damage frames through this one rule.
+    """
+    if kind == "torn-write":
+        return frame[: max(1, len(frame) // 2)]
+    flip = len(_MAGIC) + _HEADER.size
+    return frame[:flip] + bytes([frame[flip] ^ 0xFF]) + frame[flip + 1 :]
 
 
 @dataclass(frozen=True)
@@ -210,43 +230,13 @@ class WriteAheadLog:
         records: List[dict] = []
         offsets = [base]
         offset = 0
-        total = len(data)
-        while offset < total:
-            head = offset
-            if total - offset < len(_MAGIC) + _HEADER.size:
-                return records, offsets, WalTear(
-                    base + head, total - head, "truncated frame header"
-                )
-            if data[offset : offset + 2] != _MAGIC:
-                return records, offsets, WalTear(
-                    base + head, total - head, "bad frame magic"
-                )
-            offset += 2
-            length, crc = _HEADER.unpack_from(data, offset)
-            offset += _HEADER.size
-            if length > _MAX_FRAME_BYTES:
-                return records, offsets, WalTear(
-                    base + head, total - head, f"implausible frame length {length}"
-                )
-            if total - offset < length:
-                return records, offsets, WalTear(
-                    base + head,
-                    total - head,
-                    f"truncated payload ({total - offset} of {length} bytes)",
-                )
-            payload = data[offset : offset + length]
-            offset += length
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                return records, offsets, WalTear(
-                    base + head, total - head, "payload crc32 mismatch"
-                )
+        while offset < len(data):
             try:
-                record = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                return records, offsets, WalTear(
-                    base + head, total - head, f"payload not valid JSON ({error})"
-                )
+                record, end = _parse_frame(data, offset)
+            except ParameterError as error:
+                return records, offsets, WalTear(base + offset, len(data) - offset, str(error))
             records.append(record)
+            offset = end
             offsets.append(base + offset)
         return records, offsets, None
 
@@ -383,12 +373,7 @@ class WriteAheadLog:
             "service.wal.append", sequence=sequence, bytes=len(frame)
         )
         if spec is not None and spec.kind in ("torn-write", "corrupt"):
-            if spec.kind == "torn-write":
-                damaged = frame[: max(1, len(frame) // 2)]
-            else:
-                flip = len(_MAGIC) + _HEADER.size  # first payload byte
-                damaged = frame[:flip] + bytes([frame[flip] ^ 0xFF]) + frame[flip + 1 :]
-            fh.write(damaged)
+            fh.write(damage_frame(frame, spec.kind))
             fh.flush()
             os.fsync(fh.fileno())
             # A torn/corrupt frame only exists because the writer died

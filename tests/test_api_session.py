@@ -274,6 +274,29 @@ class TestPairsDigest:
         assert pairs[0].canonical_json() is pairs[0].canonical_json()
 
 
+class TestReservedStreamNames:
+    """``#`` and ``@`` mark generated ledger groups (``A#2`` is stream A's
+    second cohort, ``g@shard1`` a group a merge renamed), so a stream
+    literally named ``A#2`` would share stream A's second cohort's group."""
+
+    @pytest.mark.parametrize("name", ["A#2", "A@shard1", "#", "x@"])
+    def test_collect_refuses_a_ledger_mark(self, params, streams, name):
+        session = JoinSession(params, attribute_widths=[128, 64], seed=3)
+        session.collect("A", streams[0][:100])
+        session.collect("A", streams[0][100:200])
+        with pytest.raises(ParameterError, match="reserved for ledger group names"):
+            session.collect(name, streams[1][:100])
+        with pytest.raises(ParameterError, match="reserved for ledger group names"):
+            session.collect_pair(name, np.arange(10), np.arange(10))
+        assert session.streams() == ("A",)
+        assert [g for g, _, _ in session.ledger.charges] == ["A", "A#2"]
+        # Two disjoint cohorts of one stream: epsilon, here and rebuilt.
+        assert session.ledger.worst_case_epsilon() == pytest.approx(params.epsilon)
+        assert through_json(session).ledger.worst_case_epsilon() == pytest.approx(
+            params.epsilon
+        )
+
+
 class TestLedgerMergeInvariance:
     """Regression suite for the cross-process ledger-corruption bug.
 

@@ -184,6 +184,109 @@ class TestShardSubcommand:
         assert len(err.splitlines()) == 1 and "mismatch" in err
 
 
+def _with_pair(tmp_path, steps):
+    """Run ``steps(primary, standby)`` on a thread beside a live pair.
+
+    The standby and the primary that replicates to it are in-process
+    servers; ``steps`` gets their ``HOST:PORT`` addresses.
+    """
+    import asyncio
+
+    from repro.service import (
+        HttpReplica,
+        ReplicatedService,
+        ServerConfig,
+        ServiceConfig,
+        ServiceServer,
+    )
+
+    def node(name, **options):
+        config = ServiceConfig(data_dir=tmp_path / name, k=3, m=32, epsilon=2.0, seed=5)
+        service = ReplicatedService(config, **options)
+        return ServiceServer(service, ServerConfig(port=0, watchdog_interval=0.05))
+
+    async def scenario():
+        standby = node("standby", role="standby")
+        host, standby_port = await standby.start()
+        primary = node("primary", replicas=[HttpReplica(host, standby_port)])
+        try:
+            _, primary_port = await primary.start()
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(
+                None, steps, f"{host}:{primary_port}", f"{host}:{standby_port}"
+            )
+        finally:
+            await primary.shutdown()
+            await standby.shutdown()
+
+    return asyncio.run(scenario())
+
+
+def _unused_address() -> str:
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"127.0.0.1:{sock.getsockname()[1]}"
+
+
+class TestFailoverSubcommand:
+    """``repro-experiments failover status|promote`` against a live pair."""
+
+    @staticmethod
+    def _ingest(primary, standby):
+        from repro.service import ResilientClient
+
+        client = ResilientClient([primary, standby])
+        for values in ([1, 2, 3], [4, 5]):
+            client.ingest("acme", "A", values)
+
+    def test_status_prints_one_line_per_endpoint(self, tmp_path, capsys):
+        def steps(primary, standby):
+            self._ingest(primary, standby)
+            return main(["failover", "status", "--endpoint", primary, "--endpoint", standby])
+
+        assert _with_pair(tmp_path, steps) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("[0] 127.0.0.1:") and "role=primary epoch=0" in lines[0]
+        assert lines[1].startswith("[1] 127.0.0.1:") and "role=standby epoch=0" in lines[1]
+        assert all("wal_sequence=2" in line for line in lines)
+
+    def test_unreachable_endpoint_exits_1(self, tmp_path, capsys):
+        dead = _unused_address()
+
+        def steps(primary, standby):
+            return main(["failover", "status", "--endpoint", primary, "--endpoint", dead])
+
+        assert _with_pair(tmp_path, steps) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "role=primary" in lines[0]
+        assert lines[1].startswith(f"[1] {dead}: unreachable")
+
+    def test_promote_then_status_shows_epoch_1(self, tmp_path, capsys):
+        def steps(primary, standby):
+            self._ingest(primary, standby)
+            endpoints = ["--endpoint", primary, "--endpoint", standby]
+            promoted = main(["failover", "promote", *endpoints, "--target", "1"])
+            promote_out = capsys.readouterr().out
+            return promoted, promote_out, main(["failover", "status", *endpoints])
+
+        promoted, promote_out, status = _with_pair(tmp_path, steps)
+        assert promoted == 0 and status == 0
+        assert json.loads(promote_out) == {
+            "fencing_epoch": 1,
+            "promoted": True,
+            "role": "primary",
+        }
+        lines = capsys.readouterr().out.splitlines()
+        assert "role=primary epoch=1 wal_sequence=2" in lines[1]
+
+    def test_bad_endpoint_exits_2(self, capsys):
+        assert main(["failover", "status", "--endpoint", "nohost"]) == 2
+        assert "HOST:PORT" in capsys.readouterr().err
+
+
 class TestLintSubcommand:
     """``repro-experiments lint`` forwards to :mod:`repro.analysis`."""
 

@@ -462,6 +462,22 @@ class TestAggregationService:
         ]
         service.close()
 
+    @pytest.mark.parametrize("epoch_interval", [0, 3])
+    def test_identical_runs_write_identical_checkpoints(self, tmp_path, epoch_interval):
+        """``node.ckpt`` holds no wall-clock counter, epochs on or off."""
+        checkpoints = []
+        for run in ("first", "second"):
+            service = AggregationService(
+                make_config(tmp_path / run, epoch_interval=epoch_interval, window_epochs=2)
+            )
+            service.start()
+            for tenant, stream, values in make_batches(12):
+                service.ingest(tenant, stream, values)
+            service.close()
+            checkpoints.append((tmp_path / run / "node.ckpt").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+        assert b"offline_seconds" not in checkpoints[0]
+
     def test_stale_shard_checkpoint_is_ignored(self, tmp_path):
         """An old data dir's ``shard-0.ckpt`` is not read as node state.
 
@@ -773,13 +789,14 @@ class TestPartialWireVersionBoundary:
 # ---------------------------------------------------------------------------
 # HTTP front-end
 # ---------------------------------------------------------------------------
-async def _request(host, port, method, target, body=None, timeout=10.0):
-    """One HTTP/1.1 request over a fresh connection."""
+async def _request(host, port, method, target, body=None, timeout=10.0, headers=None):
+    """One HTTP/1.1 request over a fresh connection (bytes go as they are)."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        payload = b"" if body is None else json.dumps(body).encode()
+        payload = body if isinstance(body, bytes) else b"" if body is None else json.dumps(body).encode()
+        extra = "".join(f"{name}: {value}\r\n" for name, value in (headers or {}).items())
         head = (
-            f"{method} {target} HTTP/1.1\r\nHost: {host}\r\n"
+            f"{method} {target} HTTP/1.1\r\nHost: {host}\r\n{extra}"
             f"Content-Length: {len(payload)}\r\nConnection: close\r\n\r\n"
         ).encode()
         writer.write(head + payload)

@@ -25,7 +25,6 @@ single-node run*:
 from __future__ import annotations
 
 import asyncio
-import base64
 import logging
 import os
 import signal
@@ -66,6 +65,7 @@ from repro.service import (
     WriteAheadLog,
 )
 from repro.service.wal import decode_frame, encode_frame
+from repro.service.wire import shipment_headers
 
 TENANT = "acme"
 SEED = 17
@@ -462,12 +462,7 @@ class TestReplicationProtocol:
         primary, standby = make_pair(tmp_path)
         primary.ingest(TENANT, "A", [1], idempotency_key="t0")
         payload = primary._frame_payload(0)
-        raw = base64.b64decode(payload["frame"])
-        torn = dict(
-            payload,
-            sequence=1,
-            frame=base64.b64encode(raw[: len(raw) // 2]).decode("ascii"),
-        )
+        torn = dict(payload, sequence=1, frame=payload["frame"][: len(payload["frame"]) // 2])
         with pytest.raises(ParameterError):
             standby.apply_replication(torn)
         assert standby.status()["wal_sequence"] == 1  # nothing applied
@@ -678,7 +673,7 @@ def _shipment(standby, record) -> dict:
     return {
         "epoch": standby.wal.epoch,
         "sequence": len(standby.wal),
-        "frame": base64.b64encode(encode_frame(record)).decode("ascii"),
+        "frame": encode_frame(record),
     }
 
 
@@ -710,8 +705,14 @@ class TestStandbyRecordChecks:
             host, port = await server.start()
             try:
                 for record in UNFOLDABLE_RECORDS.values():
+                    shipment = _shipment(standby, record)
                     status, body, _ = await _request(
-                        host, port, "POST", "/v1/replicate", _shipment(standby, record)
+                        host,
+                        port,
+                        "POST",
+                        "/v1/replicate",
+                        shipment["frame"],
+                        headers=shipment_headers(shipment),
                     )
                     answers.append((status, body["error_kind"]))
             finally:
