@@ -4,13 +4,10 @@ Usage (one check per process, so no check runs in the wake of another)::
 
     PYTHONPATH=src python benchmarks/perf/check_speedups.py sweep    # sweep engine vs serial loop
     PYTHONPATH=src python benchmarks/perf/check_speedups.py sharded  # 8-shard ingest capacity
-    PYTHONPATH=src python benchmarks/perf/check_speedups.py numba    # numba vs numpy fused encode
 
 Each check prints one line per floor and exits 1 when any floor fails.
-``numba`` also fails when numba or repro's numba backend is unavailable:
-a missing compiler must not pass the compiled floor vacuously.  Every
-timing is the best wall-clock run of ``repeats`` after one untimed
-warm-up run (page faults, lazy imports, JIT compilation).
+Every timing is the best wall-clock run of ``repeats`` after one
+untimed warm-up run (page faults, lazy imports).
 """
 
 from __future__ import annotations
@@ -23,14 +20,10 @@ from typing import Callable, List, Tuple, Union
 import numpy as np
 
 from repro.api import JoinSession, get_estimator
-from repro.backend import resolve_backend
 from repro.core import SketchParams
-from repro.core.client import DEFAULT_CHUNK_SIZE
 from repro.data import make_join_instance
 from repro.distributed import ShardPlanner, merge_tree
-from repro.errors import BackendUnavailableError
 from repro.experiments.sweep import plan_grid, run_sweep
-from repro.hashing import HashPairs
 from repro.rng import derive_seed, ensure_rng
 
 #: Sketch shape of every check (the paper's defaults).
@@ -141,44 +134,14 @@ def check_sharded() -> List[Floor]:
     ]
 
 
-def check_numba() -> List[Floor]:
-    """The fused encode kernel on both backends, chunked like ``collect``, at n = 1M."""
-    n, repeats = 1_000_000, 3
-    params = SketchParams(K, M, EPSILON)
-    pairs = HashPairs(K, M, seed=SEED)
-    rng = np.random.default_rng(SEED)
-    values = rng.integers(0, 1 << 20, size=n).astype(np.uint64)
-    rows, cols = rng.integers(0, K, size=n), rng.integers(0, M, size=n)
-    flips = rng.random(n) < params.flip_probability
-    seconds = {}
-    for name in ("numba", "numpy"):
-        backend = resolve_backend(name)
-
-        def run_fused():
-            out = np.zeros((K, M), dtype=np.int64)
-            for start in range(0, n, DEFAULT_CHUNK_SIZE):
-                chunk = slice(start, start + DEFAULT_CHUNK_SIZE)
-                backend.fused_encode_accumulate(
-                    pairs._bucket_coeffs, pairs._sign_coeffs, values[chunk],
-                    rows[chunk], cols[chunk], flips[chunk], M, out,
-                )
-
-        seconds[name] = best_of(run_fused, repeats)
-    return [("numba fused encode speedup over numpy", seconds["numpy"] / seconds["numba"], 1.0)]
-
-
-CHECKS = {"sweep": check_sweep, "sharded": check_sharded, "numba": check_numba}
+CHECKS = {"sweep": check_sweep, "sharded": check_sharded}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("check", choices=sorted(CHECKS))
     args = parser.parse_args(argv)
-    try:
-        floors = CHECKS[args.check]()
-    except BackendUnavailableError as error:
-        print(f"[fail] {error}")
-        return 1
+    floors = CHECKS[args.check]()
     failed = 0
     for label, value, threshold in floors:
         if isinstance(threshold, bool):

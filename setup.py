@@ -39,6 +39,7 @@ PACKAGES = [
     "repro.reliability",
     "repro.service",
     "repro.sketches",
+    "repro.temporal",
     "repro.transform",
 ]
 
@@ -47,8 +48,8 @@ setup(
     version=_VERSION,
     description=(
         "Sketches-based join size estimation under local differential "
-        "privacy (ICDE 2024 reproduction, grown into a sharded, "
-        "multi-backend estimation library)"
+        "privacy (ICDE 2024 reproduction, grown into a sharded "
+        "estimation library)"
     ),
     long_description=(_HERE / "README.md").read_text(),
     long_description_content_type="text/markdown",
@@ -56,7 +57,6 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
     extras_require={
-        "numba": ["numba>=0.58"],
         "test": ["pytest", "hypothesis"],
     },
     package_dir={"": "src"},

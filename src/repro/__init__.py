@@ -50,7 +50,6 @@ or, by registry name::
 
 from ._version import __version__
 from .errors import (
-    BackendUnavailableError,
     DataGenerationError,
     DomainError,
     IncompatibleSketchError,
@@ -58,13 +57,6 @@ from .errors import (
     ProtocolError,
     ReproError,
     UnknownEstimatorError,
-)
-from .backend import (
-    Backend,
-    available_backends,
-    get_backend,
-    set_backend,
-    use_backend,
 )
 from .api import (
     EstimateResult,
@@ -101,13 +93,6 @@ __all__ = [
     "ProtocolError",
     "DataGenerationError",
     "UnknownEstimatorError",
-    "BackendUnavailableError",
-    # compute backends
-    "Backend",
-    "available_backends",
-    "get_backend",
-    "set_backend",
-    "use_backend",
     # unified API
     "EstimateResult",
     "JoinSession",

@@ -1,4 +1,4 @@
-"""Flattened-index scatter-add helpers, dispatching to the compute backend.
+"""Flattened-index scatter-add helpers.
 
 Every aggregation hot path in this library folds per-report updates into a
 small dense counter array.  The obvious NumPy spelling,
@@ -7,11 +7,10 @@ dispatches element by element and is roughly an order of magnitude slower
 than histogramming the flattened indices with ``np.bincount`` and adding
 the dense result once.  These helpers centralise the flatten-and-validate
 step so the core protocol, the LDP mechanisms, the classical sketches and
-the session layer all share one fast implementation — the actual
-accumulation runs on the active compute backend's
-:meth:`~repro.backend.base.Backend.bincount_accumulate` kernel (bincount
-with a sparse-batch ``np.add.at`` fallback on the NumPy backend, a
-compiled scatter loop on the numba backend).
+the session layer all share one fast implementation,
+:func:`bincount_accumulate` (a dense ``np.bincount`` histogram, with an
+element-wise ``np.add.at`` scatter for batches much smaller than the
+accumulator).
 
 Three variants cover the accumulator dtypes in use:
 
@@ -19,7 +18,7 @@ Three variants cover the accumulator dtypes in use:
   (per-bin sums are formed in input order, matching the sequential order
   ``np.add.at`` would use);
 * :func:`scatter_add_signed_units` — integer accumulators receiving
-  ``{-1, +1}`` payloads; the reference kernel's float64 intermediate is
+  ``{-1, +1}`` payloads; the histogram's float64 intermediate is
   exact bit-for-bit because every partial sum is an integer of magnitude
   at most ``len(ys) < 2**53``;
 * :func:`scatter_count` — integer accumulators receiving unit increments.
@@ -39,10 +38,55 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .backend import get_backend
-from .backend.base import SPARSE_RATIO
+__all__ = [
+    "bincount_accumulate",
+    "scatter_add",
+    "scatter_add_signed_units",
+    "scatter_count",
+]
 
-__all__ = ["scatter_add", "scatter_add_signed_units", "scatter_count"]
+#: Batch-vs-accumulator ratio below which :func:`bincount_accumulate`
+#: takes the element-wise scatter instead of a dense histogram.  For
+#: float weights the two branches sum bins in different orders
+#: (element-wise into ``out`` vs per-bin totals added once), so the
+#: threshold is part of what a float result is.
+SPARSE_RATIO = 16
+
+
+def bincount_accumulate(
+    out: np.ndarray, flat: np.ndarray, weights: Optional[np.ndarray]
+) -> None:
+    """``out.reshape(-1)[flat] += weights`` with repeated indices.
+
+    ``out`` is a C-contiguous accumulator of any shape; ``flat`` holds
+    int64 raveled indices (already bounds-checked and computed in int64
+    — see :func:`_flat_indices` for the int32-overflow guard).
+    ``weights`` is ``None`` for unit counts, else an array broadcastable
+    against ``flat``.  Integer ``out`` with integer-valued ``weights``
+    accumulates exactly; float accumulation sums each bin in input order.
+    """
+    size = out.size
+    if flat.size * SPARSE_RATIO < size:
+        # Small batch into a huge accumulator: the dense histogram's
+        # O(size) transient dwarfs the scatter, so fall back to the
+        # buffered element-wise scatter on the flat view.
+        if weights is None:
+            np.add.at(out.reshape(-1), flat, 1)
+        elif np.issubdtype(out.dtype, np.integer):
+            np.add.at(out.reshape(-1), flat, weights.astype(out.dtype, copy=False))
+        else:
+            np.add.at(out.reshape(-1), flat, np.asarray(weights, dtype=np.float64))
+        return
+    if weights is None:
+        binned = np.bincount(flat, minlength=size)
+    else:
+        # The float64 intermediate is exact for the ±1 unit payloads
+        # of the sketch hot path: every partial sum is an integer of
+        # magnitude at most len(weights) < 2**53.
+        binned = np.bincount(
+            flat, weights=np.asarray(weights, dtype=np.float64), minlength=size
+        )
+    out += binned.reshape(out.shape).astype(out.dtype, copy=False)
 
 
 def _flat_indices(out: np.ndarray, indices: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
@@ -70,14 +114,14 @@ def _flat_indices(out: np.ndarray, indices: Sequence[np.ndarray]) -> Tuple[np.nd
 def _accumulate(
     out: np.ndarray, indices: Sequence[np.ndarray], weights: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Flatten, then hand the scatter to the backend kernel."""
+    """Flatten, then scatter with :func:`bincount_accumulate`."""
     flat, _ = _flat_indices(out, indices)
     if not flat.size:
         return out
     if not out.flags.c_contiguous:
         # Exotic accumulator views cannot be raveled without copying (a
         # copy would lose the update).  Sparse batches take the
-        # index-tuple scatter; fat batches stage the backend kernel in a
+        # index-tuple scatter; fat batches stage the histogram in a
         # contiguous zero buffer and fold it in with one element-wise add
         # (valid for any layout), keeping the ~10x bincount advantage.
         if flat.size * SPARSE_RATIO < out.size:
@@ -88,21 +132,21 @@ def _accumulate(
             )
         else:
             staged = np.zeros(out.shape, dtype=out.dtype)
-            get_backend().bincount_accumulate(staged, flat, weights)
+            bincount_accumulate(staged, flat, weights)
             out += staged
         return out
-    get_backend().bincount_accumulate(out, flat, weights)
+    bincount_accumulate(out, flat, weights)
     return out
 
 
 def scatter_add(out: np.ndarray, indices: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """``out[indices] += weights`` with repeated indices, via the backend.
+    """``out[indices] += weights`` with repeated indices.
 
     Drop-in replacement for ``np.add.at(out, tuple(indices), weights)`` on
     float accumulators.  Returns ``out``.
     """
     if np.issubdtype(out.dtype, np.integer):
-        # np.add.at raises on float-into-int; the backend kernels would
+        # np.add.at raises on float-into-int; the histogram would
         # silently truncate instead, so keep the loud failure here.
         raise TypeError(
             "scatter_add writes float weights; integer accumulators take "
@@ -116,8 +160,8 @@ def scatter_add_signed_units(
 ) -> np.ndarray:
     """``out[indices] += ys`` for ``ys in {-1, +1}`` on integer accumulators.
 
-    Exact bit-for-bit with integer ``np.add.at`` on every backend (see
-    module docstring).  Returns ``out``.
+    Exact bit-for-bit with integer ``np.add.at`` (see module
+    docstring).  Returns ``out``.
     """
     return _accumulate(out, indices, np.asarray(ys))
 

@@ -8,11 +8,8 @@ the rest of the package relies on but generic linters cannot express:
   or unseeded RNG construction anywhere else.
 * **RPR102** — merge-critical accumulators stay pure int64 with
   scatter-adds routed through ``accumulate.bincount_accumulate`` over
-  int64 flat indices (``np.add.at`` is banned outside its sanctioned
-  implementations).
-* **RPR103** — hot kernels are dispatched via
-  :func:`repro.backend.get_backend`, never by importing a backend
-  implementation module (or numba) directly.
+  int64 flat indices (``np.add.at`` is banned outside
+  ``accumulate.py``).
 * **RPR104** — ``exp(epsilon)`` is computed only inside ``mechanisms/``
   and ``privacy/`` where the budget ledger accounts for it.
 * **RPR105** — hot/experiment paths avoid set-iteration order,

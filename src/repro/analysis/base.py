@@ -9,11 +9,9 @@ integrations) even though the package it checks does not.
 
 Why an in-tree linter at all: the repo's correctness rests on invariants
 generic tools cannot express — bit-identical sharded merges require
-pure-int64 pre-FWHT accumulators and strictly seeded RNG streams, the
-backend ABI requires hot paths to dispatch through
-:func:`repro.backend.get_backend`, and the LDP guarantees require every
-epsilon-consuming computation to happen where the budget ledger can see
-it.  Each rule turns one of those tribal-knowledge rules into a
+pure-int64 pre-FWHT accumulators and strictly seeded RNG streams, and
+the LDP guarantees require every epsilon-consuming computation to happen
+where the budget ledger can see it.  Each rule turns one of those tribal-knowledge rules into a
 machine-checked one (see :mod:`repro.analysis.rules` for the catalogue).
 
 Suppressions

@@ -8,9 +8,6 @@ RPR101   All randomness flows through :mod:`repro.rng` — no global or
          unseeded RNG construction anywhere else.
 RPR102   Merge safety: pre-FWHT accumulators stay pure int64 and all
          scatter-adds route through ``accumulate.bincount_accumulate``.
-RPR103   Backend ABI: hot-path kernels are reached via
-         ``get_backend()``, never by importing a backend implementation
-         module (or numba) directly.
 RPR104   Privacy accounting: ``exp(epsilon)`` is computed only inside
          ``mechanisms/`` / ``privacy/`` where the budget ledger sees it.
 RPR105   Determinism smells in hot/experiment paths: unordered set
@@ -49,7 +46,6 @@ from .base import (
 __all__ = [
     "UnseededRandomnessRule",
     "MergeUnsafeAccumulatorRule",
-    "BackendBypassRule",
     "PrivacyBudgetBypassRule",
     "NondeterminismSmellRule",
     "ServiceBlockingCallRule",
@@ -97,21 +93,6 @@ _NP_LEGACY_RANDOM = {
     "get_state",
     "set_state",
     "RandomState",
-}
-
-#: Backend ABI kernel names (methods of :class:`repro.backend.Backend`).
-#: Calling one as a *bare name* means it was imported from an
-#: implementation module instead of dispatched via ``get_backend()``.
-#: ``bincount_accumulate`` is absent: :func:`repro.accumulate.
-#: bincount_accumulate` is the sanctioned wrapper of the same name.
-_KERNEL_NAMES = {
-    "polyval_mersenne_rows",
-    "polyval_mersenne_all",
-    "fused_encode_accumulate",
-    "fused_encode_accumulate_trials",
-    "fused_encode_shared_pass",
-    "fwht_batch_inplace",
-    "oracle_support_scan",
 }
 
 _FLOAT_DTYPE_NAMES = {"float", "float16", "float32", "float64", "float128", "double"}
@@ -240,7 +221,7 @@ class MergeUnsafeAccumulatorRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if not ctx.in_repro_package:
             return
-        sanctioned = ctx.is_module("accumulate.py") or ctx.in_package("backend")
+        sanctioned = ctx.is_module("accumulate.py")
         scoped = ctx.in_package(*self._SCOPED)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
@@ -258,8 +239,8 @@ class MergeUnsafeAccumulatorRule(Rule):
             yield ctx.diagnostic(
                 node,
                 self.code,
-                "np.add.at is a banned scatter-add (slow, and bypasses the "
-                "backend ABI); use repro.accumulate.bincount_accumulate",
+                "np.add.at is a banned scatter-add (slow); use "
+                "repro.accumulate.bincount_accumulate",
             )
 
     def _check_bincount_indices(
@@ -336,78 +317,6 @@ class MergeUnsafeAccumulatorRule(Rule):
                 f"float-constant arithmetic on accumulator {names[0]!r}; "
                 "merge-path accumulators must stay int64",
             )
-
-
-@register_rule
-class BackendBypassRule(Rule):
-    code = "RPR103"
-    name = "backend-abi-bypass"
-    rationale = (
-        "Hot-path kernels must be reached through get_backend() dispatch so "
-        "the numpy/numba (and future GPU) implementations stay swappable and "
-        "parity-tested; importing an implementation module or numba directly "
-        "pins one backend and dodges the parity suite."
-    )
-
-    _IMPL_MODULES = {"numpy_backend", "numba_backend"}
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if not ctx.in_repro_package or ctx.in_package("backend"):
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    leaf = alias.name.split(".")[-1]
-                    if root == "numba":
-                        yield ctx.diagnostic(
-                            node,
-                            self.code,
-                            "direct numba import outside repro/backend/; "
-                            "compiled kernels live behind the backend ABI",
-                        )
-                    elif leaf in self._IMPL_MODULES:
-                        yield ctx.diagnostic(
-                            node,
-                            self.code,
-                            f"backend implementation module {leaf!r} imported "
-                            "directly; dispatch via repro.backend.get_backend()",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                leaf = module.split(".")[-1]
-                if node.level == 0 and module.split(".")[0] == "numba":
-                    yield ctx.diagnostic(
-                        node,
-                        self.code,
-                        "direct numba import outside repro/backend/; "
-                        "compiled kernels live behind the backend ABI",
-                    )
-                elif leaf in self._IMPL_MODULES:
-                    yield ctx.diagnostic(
-                        node,
-                        self.code,
-                        f"import from backend implementation module {leaf!r}; "
-                        "dispatch via repro.backend.get_backend()",
-                    )
-                else:
-                    for alias in node.names:
-                        if alias.name in self._IMPL_MODULES:
-                            yield ctx.diagnostic(
-                                node,
-                                self.code,
-                                f"backend implementation module {alias.name!r} "
-                                "imported directly; dispatch via "
-                                "repro.backend.get_backend()",
-                            )
-            elif isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name) and node.func.id in _KERNEL_NAMES:
-                    yield ctx.diagnostic(
-                        node,
-                        self.code,
-                        f"ABI kernel {node.func.id!r} called as a bare name; "
-                        "call it as a method of get_backend()",
-                    )
 
 
 @register_rule

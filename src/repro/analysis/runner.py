@@ -167,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant linter for the repro codebase: seeded-RNG "
             "discipline (RPR101), merge-safe accumulators (RPR102), "
-            "backend-ABI dispatch (RPR103), privacy-budget accounting "
-            "(RPR104) and hot-path determinism (RPR105)."
+            "privacy-budget accounting (RPR104) and hot-path determinism "
+            "(RPR105)."
         ),
     )
     parser.add_argument(

@@ -20,14 +20,12 @@ estimation error per candidate value.
 from __future__ import annotations
 
 import abc
-import functools
 import math
 import time
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..backend import use_backend
 from ..core.client import (
     DEFAULT_CHUNK_SIZE,
     encode_reports_grouped_into,
@@ -302,63 +300,19 @@ def run_join_sketch_plus(
 # ----------------------------------------------------------------------
 # Registry estimators
 # ----------------------------------------------------------------------
-def _backend_scoped(method):
-    """Run ``method`` under the estimator's pinned compute backend.
-
-    The same scoping :meth:`BaseEstimator.estimate` applies around its
-    ``_estimate`` hook, packaged as a decorator for the trial-axis entry
-    points so a new one cannot silently forget the pin.
-    """
-
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        with use_backend(self.backend):
-            return method(self, *args, **kwargs)
-
-    return wrapper
-
-
 class BaseEstimator(abc.ABC):
     """A join-size estimation method (private or baseline).
 
     Concrete subclasses satisfy the :class:`repro.api.JoinEstimator`
-    protocol; the registry hands out instances by name.  Subclasses
-    implement :meth:`_estimate`; the public :meth:`estimate` wrapper
-    scopes the run to the estimator's pinned compute backend (set via
-    ``get_estimator(name, backend=...)`` or by assigning
-    :attr:`backend`), so one process can e.g. benchmark the numba and
-    numpy backends against each other with two registry lookups.
+    protocol; the registry hands out instances by name.
     """
 
     #: Display name used in result tables (matches the figure legends).
     name: str = "abstract"
     #: Whether the method provides an LDP guarantee.
     private: bool = True
-    #: Compute-backend pin (name / instance); ``None`` follows the
-    #: process-wide selection.  Honoured by every ``estimate*`` entry
-    #: point via :func:`repro.backend.use_backend`.
-    backend = None
 
-    def __new__(cls, *args, **kwargs):
-        # The @abstractmethod that used to sit on estimate() made an
-        # incomplete class un-instantiable; keep exactly that timing now
-        # that estimate() is a concrete backend-scoping wrapper — fail at
-        # construction (a typoed hook must not surface as
-        # NotImplementedError mid-sweep inside a worker pool), while
-        # hook-less *intermediate* subclasses remain definable as before.
-        for klass in cls.__mro__:
-            if klass is BaseEstimator:
-                raise TypeError(
-                    f"{cls.__name__} must implement _estimate() or "
-                    f"override estimate()"
-                    if cls is not BaseEstimator
-                    else "BaseEstimator is abstract; instantiate a registered "
-                    "estimator (see repro.api.available_estimators)"
-                )
-            if "_estimate" in klass.__dict__ or "estimate" in klass.__dict__:
-                break
-        return super().__new__(cls)
-
+    @abc.abstractmethod
     def estimate(
         self,
         instance: JoinInstance,
@@ -366,25 +320,6 @@ class BaseEstimator(abc.ABC):
         seed: RandomState = None,
     ) -> EstimateResult:
         """Estimate the join size of ``instance`` under budget ``epsilon``."""
-        with use_backend(self.backend):
-            return self._estimate(instance, epsilon, seed)
-
-    def _estimate(
-        self,
-        instance: JoinInstance,
-        epsilon: float,
-        seed: RandomState = None,
-    ) -> EstimateResult:
-        """Method-specific implementation behind :meth:`estimate`.
-
-        Built-in estimators implement this hook; subclasses that predate
-        the backend layer may instead override :meth:`estimate` directly
-        (losing only the automatic backend scoping).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement _estimate() or "
-            f"override estimate()"
-        )
 
     def estimate_sharded(
         self,
@@ -398,24 +333,22 @@ class BaseEstimator(abc.ABC):
     ) -> EstimateResult:
         """Sharded-collection estimate: ``num_shards`` aggregators + merge tree.
 
-        Routes through :func:`repro.distributed.estimate_sharded` under
-        this estimator's pinned compute backend.  ``num_shards=1``
-        replays :meth:`estimate` bit for bit; any ``K`` and either merge
-        topology (``"tree"``/``"sequential"``) produce byte-identical
-        results — see :mod:`repro.distributed`.
+        Routes through :func:`repro.distributed.estimate_sharded`.
+        ``num_shards=1`` replays :meth:`estimate` bit for bit; any ``K``
+        and either merge topology (``"tree"``/``"sequential"``) produce
+        byte-identical results — see :mod:`repro.distributed`.
         """
         from ..distributed import estimate_sharded
 
-        with use_backend(self.backend):
-            return estimate_sharded(
-                self,
-                instance,
-                epsilon,
-                num_shards=num_shards,
-                seed=seed,
-                strategy=strategy,
-                merge=merge,
-            )
+        return estimate_sharded(
+            self,
+            instance,
+            epsilon,
+            num_shards=num_shards,
+            seed=seed,
+            strategy=strategy,
+            merge=merge,
+        )
 
     def report_bits_for(self, domain_size: int, epsilon: float) -> int:
         """Uplink bits one client transmits (cheap, no simulation).
@@ -459,7 +392,7 @@ class _TwoStreamEstimator(BaseEstimator):
         """The estimate and its costs, from both tables' accumulators."""
         raise NotImplementedError
 
-    def _estimate(
+    def estimate(
         self,
         instance: JoinInstance,
         epsilon: float,
@@ -640,7 +573,7 @@ class LDPJoinSketchEstimator(BaseEstimator):
         self.k = k
         self.m = m
 
-    def _estimate(
+    def estimate(
         self,
         instance: JoinInstance,
         epsilon: float,
@@ -654,7 +587,6 @@ class LDPJoinSketchEstimator(BaseEstimator):
             seed=seed,
         )
 
-    @_backend_scoped
     def estimate_trials(
         self,
         instance: JoinInstance,
@@ -675,7 +607,6 @@ class LDPJoinSketchEstimator(BaseEstimator):
             seeds,
         )
 
-    @_backend_scoped
     def estimate_trial_group(
         self,
         instance: JoinInstance,
@@ -735,7 +666,7 @@ class LDPJoinSketchPlusEstimator(BaseEstimator):
             paper_faithful_correction=self.paper_faithful_correction,
         )
 
-    def _estimate(
+    def estimate(
         self,
         instance: JoinInstance,
         epsilon: float,
@@ -768,7 +699,7 @@ class CompassEstimator(BaseEstimator):
         self.k = k
         self.m = m
 
-    def _estimate(
+    def estimate(
         self,
         instance: JoinInstance,
         epsilon: float,
@@ -783,7 +714,6 @@ class CompassEstimator(BaseEstimator):
         # replica — exactly the row-wise inner products of Eq. (5).
         return session.estimate_chain(["A", "B"])
 
-    @_backend_scoped
     def estimate_trials(
         self,
         instance: JoinInstance,
@@ -804,7 +734,6 @@ class CompassEstimator(BaseEstimator):
             query="chain",
         )
 
-    @_backend_scoped
     def estimate_trial_group(
         self,
         instance: JoinInstance,

@@ -155,28 +155,8 @@ def get_estimator(name: str, **options) -> JoinEstimator:
 
     ``options`` are forwarded to the factory, e.g.
     ``get_estimator("ldpjs", k=18, m=1024)``.
-
-    The ``backend`` option is handled by the registry itself rather than
-    the factories: it pins the estimator to a compute backend
-    (``"numpy"``, ``"numba"``, or a live :class:`repro.backend.Backend`)
-    by setting the instance's ``backend`` attribute —
-    :class:`~repro.api.estimators.BaseEstimator` scopes every
-    ``estimate*`` call to it.  ``backend=None`` (the default) follows the
-    process-wide selection.
     """
-    backend = options.pop("backend", None)
-    if backend is not None:
-        # Validate eagerly (a typo should fail at construction, not deep
-        # inside the first estimate call of a sweep) but keep the original
-        # spec on the instance — a name string stays picklable for the
-        # worker-pool paths where a live backend object would not be.
-        from ..backend import resolve_backend
-
-        resolve_backend(backend)
-    estimator = _FACTORIES[resolve_estimator(name)](**options)
-    if backend is not None:
-        estimator.backend = backend
-    return estimator
+    return _FACTORIES[resolve_estimator(name)](**options)
 
 
 def available_estimators() -> Tuple[str, ...]:

@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..accumulate import scatter_add_signed_units
-from ..backend import resolve_backend, use_backend
 from ..core.client import DEFAULT_CHUNK_SIZE, ReportBatch, encode_reports_into
 from ..core.multiway import (
     LDPCompassProtocol,
@@ -234,14 +233,6 @@ class JoinSession:
         Pre-built hash pairs to share with sibling shards; normally
         obtained from a coordinator session via :attr:`pairs` or
         :meth:`spawn_shard`.
-    backend:
-        Compute-backend pin (``"numpy"``, ``"numba"``, a live
-        :class:`repro.backend.Backend`, or ``None`` to follow the
-        process-wide selection).  Every ingest and sketch
-        materialisation of this session runs scoped to it.  A runtime
-        preference, not state: it does not travel through
-        :meth:`to_partial` and does not affect mergeability — shards built
-        on different backends produce bit-identical accumulators.
     """
 
     def __init__(
@@ -251,14 +242,8 @@ class JoinSession:
         attribute_widths: Optional[Sequence[int]] = None,
         seed: RandomState = None,
         pairs: Optional[Sequence[HashPairs]] = None,
-        backend=None,
     ) -> None:
         self.params = params
-        if backend is not None:
-            # Fail at construction on a backend typo (the spec itself is
-            # kept, not the resolved instance — names stay picklable).
-            resolve_backend(backend)
-        self.backend = backend
         self._rng = ensure_rng(seed)
         # The protocol owns (and validates) the pairs: shared ones must
         # match params.k and any declared widths; fresh ones are drawn
@@ -315,11 +300,9 @@ class JoinSession:
 
         Shards ingest independently (in other threads, processes or
         machines — see :meth:`to_partial`) and are folded back with
-        :meth:`merge`.  The shard inherits this session's backend pin.
+        :meth:`merge`.
         """
-        return JoinSession(
-            self.params, seed=seed, pairs=self._pairs, backend=self.backend
-        )
+        return JoinSession(self.params, seed=seed, pairs=self._pairs)
 
     def shard_fingerprint(self) -> dict:
         """The merge-compatibility fingerprint of this collection period.
@@ -374,10 +357,7 @@ class JoinSession:
                 )
             num_new = len(batch)
             if num_new:
-                with use_backend(self.backend):
-                    scatter_add_signed_units(
-                        state.raw, (batch.rows, batch.cols), batch.ys
-                    )
+                scatter_add_signed_units(state.raw, (batch.rows, batch.cols), batch.ys)
         else:
             rng = self._rng if seed is None else ensure_rng(seed)
             num_new = encode_reports_into(
@@ -387,7 +367,6 @@ class JoinSession:
                 state.raw,
                 rng,
                 chunk_size=chunk_size,
-                backend=self.backend,
             )
         if num_new:
             state.num_reports += num_new
@@ -436,17 +415,15 @@ class JoinSession:
             if right_values is None:
                 raise ParameterError("middle-table collection needs both value columns")
             rng = self._rng if seed is None else ensure_rng(seed)
-            with use_backend(self.backend):
-                batch = self._protocol.encode_middle(
-                    state.left_attribute, left_values, right_values, rng
-                )
+            batch = self._protocol.encode_middle(
+                state.left_attribute, left_values, right_values, rng
+            )
         if len(batch):
-            with use_backend(self.backend):
-                scatter_add_signed_units(
-                    state.raw,
-                    (batch.replicas, batch.left_cols, batch.right_cols),
-                    batch.ys,
-                )
+            scatter_add_signed_units(
+                state.raw,
+                (batch.replicas, batch.left_cols, batch.right_cols),
+                batch.ys,
+            )
             state.num_reports += len(batch)
             state.uplink_bits += batch.total_bits
             self._charge(stream, state, "LDP-COMPASS")
@@ -649,13 +626,12 @@ class JoinSession:
         if state.cached is None:
             # Cached until the next collect/merge invalidates it, so
             # back-to-back queries never re-run the FWHT.
-            with use_backend(self.backend):
-                state.cached = LDPJoinSketch.from_raw(
-                    self.params_for(state.attribute),
-                    self._pairs[state.attribute],
-                    state.raw,
-                    state.num_reports,
-                )
+            state.cached = LDPJoinSketch.from_raw(
+                self.params_for(state.attribute),
+                self._pairs[state.attribute],
+                state.raw,
+                state.num_reports,
+            )
         return state.cached
 
     def middle_sketch(self, stream: str) -> LDPMiddleSketch:
@@ -668,8 +644,7 @@ class JoinSession:
         if state.cached is None:
             scaled = state.raw.astype(np.float64)
             scaled *= self.params.scale
-            with use_backend(self.backend):
-                counts = finalize_middle_counts(scaled)
+            counts = finalize_middle_counts(scaled)
             state.cached = LDPMiddleSketch(
                 self._pairs[state.left_attribute],
                 self._pairs[state.left_attribute + 1],

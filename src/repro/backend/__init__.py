@@ -1,291 +1,17 @@
-"""Pluggable compute backends for every hot-path kernel.
+"""A stub kept for one reader: ``perfbench/harness.py`` records
+``get_backend().name`` in every benchmark run's metadata.
 
-The sketch math of this library (k-wise Mersenne hashing, the fused
-client encode→accumulate kernels, the FWHT butterfly, flattened-index
-scatter-adds, frequency-oracle support scans) runs on a swappable
-*compute backend* behind the narrow ABI of
-:class:`~repro.backend.base.Backend`.  Two implementations ship:
-
-* ``"numpy"`` — the vectorised reference (always available); every other
-  backend is pinned bit for bit against it;
-* ``"numba"`` — optional ``@njit(cache=True, parallel=True)`` loop
-  kernels, used automatically when `numba` is importable.
-
-Selection order (first match wins):
-
-1. an explicit :func:`set_backend` / :func:`use_backend` call;
-2. the ``REPRO_BACKEND`` environment variable (``numpy``, ``numba`` or
-   ``auto``), read once at first resolution;
-3. auto-detection: ``numba`` when importable, else ``numpy``.
-
-The env override and auto-detection degrade *gracefully*: an unknown or
-unimportable env-selected backend emits a :class:`RuntimeWarning` and
-falls back to auto-detection (``numba`` when importable, else ``numpy``),
-so ``REPRO_BACKEND`` can never turn a working installation into a broken
-one.  Programmatic :func:`set_backend` is strict and raises
-:class:`~repro.errors.BackendUnavailableError` instead — a typo in code
-should fail loudly.
-
-:func:`set_backend` selects the *process-wide* default; :func:`use_backend`
-layers a :mod:`contextvars`-scoped override on top, so a pinned
-:class:`~repro.api.JoinSession` ingesting in one thread never changes what
-concurrent threads resolve, and nested / overlapping pins unwind correctly.
-Dispatch sites call :func:`get_backend` per batch (a context-variable read
-and a dict lookup — negligible against kernel work), so a selection takes
-effect immediately, including for long-lived sessions.  Worker processes
-of the sweep engine re-resolve the backend on entry (see
-:mod:`repro.experiments.sweep`), so parent-side selections survive both
-``fork`` and ``spawn`` start methods.
-
-Adding a backend
-----------------
-Subclass :class:`~repro.backend.base.Backend`, implement the eight
-kernels, and register a zero-argument factory::
-
-    from repro.backend import register_backend
-    register_backend("mylib", lambda: MyLibBackend())
-
-The factory runs at first selection; letting it raise ``ImportError``
-marks the backend unavailable (exactly how the numba backend gates its
-optional dependency).
+Every kernel is a plain NumPy function beside its caller, so there is
+nothing to select; the name is always ``"numpy"``.
 """
 
-from __future__ import annotations
+from types import SimpleNamespace
 
-import contextlib
-import contextvars
-import os
-import warnings
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+__all__ = ["get_backend"]
 
-from ..errors import BackendUnavailableError
-from .base import Backend
-
-__all__ = [
-    "Backend",
-    "BackendUnavailableError",
-    "ENV_VAR",
-    "available_backends",
-    "backend_available",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "set_backend",
-    "use_backend",
-]
-
-#: Environment variable consulted at first resolution.
-ENV_VAR = "REPRO_BACKEND"
-
-#: Anything accepted where a backend choice is expected: a registry name,
-#: a live instance, or ``None`` for "the process-wide default".
-BackendSpec = Union[None, str, Backend]
+_NUMPY = SimpleNamespace(name="numpy")
 
 
-def _make_numpy() -> Backend:
-    from .numpy_backend import NumpyBackend
-
-    return NumpyBackend()
-
-
-def _make_numba() -> Backend:
-    from .numba_backend import NumbaBackend  # raises ImportError without numba
-
-    return NumbaBackend()
-
-
-#: Ordered registry: auto-detection walks it front to back (numba first,
-#: numpy as the always-available fallback).
-_FACTORIES: Dict[str, Callable[[], Backend]] = {
-    "numba": _make_numba,
-    "numpy": _make_numpy,
-}
-_INSTANCES: Dict[str, Backend] = {}
-#: Process-wide default, owned by :func:`set_backend` (``None`` = resolve
-#: lazily from the env override / auto-detection).
-_ACTIVE: Optional[Backend] = None
-#: Context-local override, owned by :func:`use_backend` — scoping it to the
-#: current :mod:`contextvars` context keeps one thread's temporary pin from
-#: leaking into concurrently ingesting threads and makes overlapping pins
-#: unwind LIFO per context instead of clobbering a shared global.
-_CONTEXT: contextvars.ContextVar[Optional[Backend]] = contextvars.ContextVar(
-    "repro_backend_override", default=None
-)
-
-
-def register_backend(
-    name: str, factory: Callable[[], Backend], *, replace: bool = False
-) -> None:
-    """Register a backend factory under ``name`` (lowercased).
-
-    ``factory`` is called lazily at first selection and may raise
-    ``ImportError`` to signal an unavailable optional dependency.
-    """
-    key = str(name).strip().lower()
-    if not key:
-        raise BackendUnavailableError("backend name must be non-empty")
-    if key in _FACTORIES and not replace:
-        raise BackendUnavailableError(f"backend {key!r} is already registered")
-    global _ACTIVE
-    _FACTORIES[key] = factory
-    _INSTANCES.pop(key, None)
-    # If the resolved default came from the name being re-registered,
-    # drop it so the next get_backend() re-resolves through the new
-    # factory — otherwise a replace=True registration would silently keep
-    # dispatching to the stale instance.
-    if _ACTIVE is not None and _ACTIVE.name == key:
-        _ACTIVE = None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, in auto-detection order."""
-    return tuple(_FACTORIES)
-
-
-def backend_available(name: str) -> bool:
-    """Whether ``name`` is registered *and* its factory imports cleanly."""
-    try:
-        _instantiate(str(name).strip().lower())
-        return True
-    except BackendUnavailableError:
-        return False
-
-
-def _instantiate(key: str) -> Backend:
-    """Create (and cache) the backend registered under ``key``."""
-    instance = _INSTANCES.get(key)
-    if instance is not None:
-        return instance
-    factory = _FACTORIES.get(key)
-    if factory is None:
-        known = ", ".join(_FACTORIES)
-        raise BackendUnavailableError(
-            f"unknown backend {key!r}; registered backends: {known}"
-        )
-    try:
-        instance = factory()
-    except ImportError as exc:
-        raise BackendUnavailableError(
-            f"backend {key!r} is not available ({exc}); install its optional "
-            f"dependency or select another backend"
-        ) from exc
-    _INSTANCES[key] = instance
-    return instance
-
-
-def _autodetect() -> Backend:
-    """First importable backend in registry order (numpy always works)."""
-    for key in _FACTORIES:
-        try:
-            return _instantiate(key)
-        except BackendUnavailableError:
-            continue
-    raise BackendUnavailableError("no compute backend could be instantiated")
-
-
-def _resolve_default() -> Backend:
-    """Apply the env override, falling back gracefully to auto-detection."""
-    requested = os.environ.get(ENV_VAR, "").strip().lower()
-    if requested in ("", "auto"):
-        return _autodetect()
-    try:
-        return _instantiate(requested)
-    except BackendUnavailableError as exc:
-        warnings.warn(
-            f"{ENV_VAR}={requested!r} ignored: {exc}; falling back to "
-            f"auto-detection",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return _autodetect()
-
-
-def get_backend() -> Backend:
-    """The active backend: context override, else the process-wide default.
-
-    The default is resolved on first use (env override, then
-    auto-detection) and cached until :func:`set_backend` changes it.
-    """
-    override = _CONTEXT.get()
-    if override is not None:
-        return override
-    global _ACTIVE
-    if _ACTIVE is None:
-        _ACTIVE = _resolve_default()
-    return _ACTIVE
-
-
-def set_backend(spec: BackendSpec) -> Backend:
-    """Select the process-wide backend; returns the active instance.
-
-    ``spec`` is a registry name, a live :class:`Backend`, or ``None`` to
-    drop back to the default resolution (env override, then
-    auto-detection).  Unknown or unimportable names raise
-    :class:`~repro.errors.BackendUnavailableError`.
-    """
-    global _ACTIVE
-    if spec is None:
-        _ACTIVE = None
-        return get_backend()
-    _ACTIVE = resolve_backend(spec)
-    return _ACTIVE
-
-
-def resolve_backend(spec: BackendSpec) -> Backend:
-    """Normalise ``spec`` into a live backend *without* changing the default.
-
-    The per-call dispatch hook: ``None`` means "whatever is active",
-    strings are registry lookups (strict), instances pass through.
-    """
-    if spec is None:
-        return get_backend()
-    if isinstance(spec, Backend):
-        return spec
-    if isinstance(spec, str):
-        return _instantiate(spec.strip().lower())
-    raise BackendUnavailableError(f"cannot interpret {spec!r} as a backend")
-
-
-@contextlib.contextmanager
-def use_backend(spec: BackendSpec) -> Iterator[Backend]:
-    """Temporarily select ``spec`` within the current context.
-
-    The override lives in a :mod:`contextvars` variable, so it is scoped
-    to the current thread / async task: a pinned session ingesting under
-    this manager never changes what concurrent threads resolve, and
-    overlapping pins in different threads unwind independently (no
-    last-exit-wins clobbering of a shared global).
-
-    ``None`` is a no-op passthrough (yields the current backend without
-    touching any state), which lets call sites thread an *optional*
-    backend preference for free::
-
-        with use_backend(self._backend):   # None when unconfigured
-            ...
-    """
-    if spec is None:
-        yield get_backend()
-        return
-    token = _CONTEXT.set(resolve_backend(spec))
-    try:
-        yield _CONTEXT.get()
-    finally:
-        _CONTEXT.reset(token)
-
-
-def _clear_context_override() -> None:
-    """Drop any context-local :func:`use_backend` override (worker entry).
-
-    Under ``fork`` a pool worker inherits the parent's contextvar state:
-    a ``use_backend`` scope active at pool-creation time would otherwise
-    shadow the worker's :func:`set_backend` re-pin for the life of the
-    worker.  Sweep workers call this before re-pinning.
-    """
-    _CONTEXT.set(None)
-
-
-def _reset_for_tests() -> None:
-    """Drop the resolved default so tests can re-exercise resolution."""
-    global _ACTIVE
-    _ACTIVE = None
-    _CONTEXT.set(None)
+def get_backend() -> SimpleNamespace:
+    """The one compute backend, named ``"numpy"``."""
+    return _NUMPY

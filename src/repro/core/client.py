@@ -42,13 +42,16 @@ from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..accumulate import scatter_add_signed_units
-from ..backend import resolve_backend, use_backend
+from ..accumulate import bincount_accumulate, scatter_add_signed_units
 from ..errors import DomainError, ParameterError
 from ..hashing import HashPairs, stack_pair_coefficients
-from ..hashing.kwise import MERSENNE_PRIME_31
+from ..hashing.kwise import MERSENNE_PRIME_31, polyval_rows, reduce_mod_m
 from ..rng import RandomState, ensure_rng
-from ..transform.hadamard import hadamard_entry, sample_hadamard_parities
+from ..transform.hadamard import (
+    _popcount_parity,
+    hadamard_entry,
+    sample_hadamard_parities,
+)
 from ..validation import as_value_array
 from .params import SketchParams
 
@@ -188,8 +191,6 @@ def encode_reports_into(
     out: np.ndarray,
     rng: RandomState = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    *,
-    backend=None,
 ) -> int:
     """Fused Algorithm 1 + accumulation: encode clients straight into ``out``.
 
@@ -218,10 +219,6 @@ def encode_reports_into(
         Randomness source for all sampling.
     chunk_size:
         Number of clients encoded per pass.
-    backend:
-        Compute backend override (name, instance or ``None`` for the
-        process-wide default); hashing, perturbation and accumulation of
-        every chunk run on its fused kernel.
 
     Returns
     -------
@@ -245,51 +242,35 @@ def encode_reports_into(
         raise DomainError("hash inputs must lie in [0, 2**31 - 1)")
     generator = ensure_rng(rng)
     n = arr.size
-    fused = _fused_kernel_inputs(pairs, backend, out.flags.c_contiguous)
-    # The context pin covers the fallback path too: without it an
-    # explicit ``backend=`` would be honoured by the fused kernel but
-    # silently ignored by the generic encode + scatter dispatches below.
-    with use_backend(backend):
-        for start in range(0, n, int(chunk_size)):
-            chunk = arr[start : start + int(chunk_size)]
-            if fused is None:
-                ys, rows, cols = _encode_chunk(
-                    chunk, params, pairs, generator, domain_checked=True
-                )
-                scatter_add_signed_units(out, (rows, cols), ys)
-                continue
-            compute, bucket_coeffs, sign_coeffs = fused
-            c = chunk.size
-            # Draw order is the wire contract (rows, cols, flip uniforms)
-            # — the hash evaluation between the draws consumes no
-            # randomness, so hoisting the flip draw keeps the stream
-            # identical to :func:`encode_reports`.
-            rows = generator.integers(0, params.k, size=c)
-            cols = generator.integers(0, params.m, size=c)
-            flips = generator.random(c) < params.flip_probability
-            compute.fused_encode_accumulate(
-                bucket_coeffs, sign_coeffs, chunk.astype(np.uint64), rows, cols,
-                flips, params.m, out,
-            )
-    return int(n)
-
-
-def _fused_kernel_inputs(pairs: HashPairs, backend, contiguous: bool):
-    """Resolve the backend + stacked coefficients of a fused encode call.
-
-    Returns ``None`` when the fused kernel cannot run — heterogeneous
-    hash degrees (hand-built pairs) or a non-contiguous accumulator —
-    in which case callers fall back to the generic encode + scatter
-    path (identical output, it merely re-derives the hashes per array
-    instead of per element).
-    """
-    if not contiguous:
-        return None
     bucket_coeffs = pairs._bucket_coeffs
     sign_coeffs = pairs._sign_coeffs
-    if bucket_coeffs is None or sign_coeffs is None:
-        return None
-    return resolve_backend(backend), bucket_coeffs, sign_coeffs
+    # Heterogeneous hash degrees (hand-built pairs) or a non-contiguous
+    # accumulator take the generic encode + scatter path: identical
+    # output, it merely re-derives the hashes per array.
+    fused = (
+        out.flags.c_contiguous and bucket_coeffs is not None and sign_coeffs is not None
+    )
+    for start in range(0, n, int(chunk_size)):
+        chunk = arr[start : start + int(chunk_size)]
+        if not fused:
+            ys, rows, cols = _encode_chunk(
+                chunk, params, pairs, generator, domain_checked=True
+            )
+            scatter_add_signed_units(out, (rows, cols), ys)
+            continue
+        c = chunk.size
+        # Draw order is the wire contract (rows, cols, flip uniforms)
+        # — the hash evaluation between the draws consumes no
+        # randomness, so hoisting the flip draw keeps the stream
+        # identical to :func:`encode_reports`.
+        rows = generator.integers(0, params.k, size=c)
+        cols = generator.integers(0, params.m, size=c)
+        flips = generator.random(c) < params.flip_probability
+        _fused_encode_accumulate(
+            bucket_coeffs, sign_coeffs, chunk.astype(np.uint64), rows, cols,
+            flips, params.m, out,
+        )
+    return int(n)
 
 
 def encode_reports_trials_into(
@@ -299,8 +280,6 @@ def encode_reports_trials_into(
     out: np.ndarray,
     rngs: Sequence[RandomState],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    *,
-    backend=None,
 ) -> int:
     """Fused Algorithm 1 for ``T`` independent trials in one value pass.
 
@@ -373,11 +352,10 @@ def encode_reports_trials_into(
         for t in range(trials):
             encode_reports_into(
                 arr, params, pairs_list[t], out[t], generators[t],
-                chunk_size=chunk_size, backend=backend,
+                chunk_size=chunk_size,
             )
         return int(arr.size)
     bucket_coeffs, sign_coeffs = stacked
-    compute = resolve_backend(backend)
     n = arr.size
     for start in range(0, n, int(chunk_size)):
         chunk = arr[start : start + int(chunk_size)]
@@ -393,7 +371,7 @@ def encode_reports_trials_into(
         # All T trials' hashes ride one gathered kernel call (trial t's
         # polynomials sit at stacked columns t*k + j); each trial's
         # reports land in its own (k, m) accumulator.
-        compute.fused_encode_accumulate_trials(
+        _fused_encode_accumulate_trials(
             bucket_coeffs, sign_coeffs, chunk.astype(np.uint64), rows, cols,
             flips, params.m, out,
         )
@@ -408,8 +386,6 @@ def encode_reports_grouped_into(
     sample_rng: RandomState,
     trial_rngs: Sequence[RandomState],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    *,
-    backend=None,
 ) -> int:
     """Trial-group kernel: hash/sample once, perturb per (trial, epsilon).
 
@@ -492,40 +468,35 @@ def encode_reports_grouped_into(
     p_sorted = probs[order]
     shared = np.zeros(k * m, dtype=np.int64)
     bands = np.zeros((trials, num_eps, k * m), dtype=np.int64)
-    compute = resolve_backend(backend)
     use_kernel = pairs._bucket_coeffs is not None and pairs._sign_coeffs is not None
     n = arr.size
-    # The context pin covers the hand-built-pairs fallback and the
-    # scatter dispatches, which would otherwise follow the process-wide
-    # default rather than an explicit ``backend=``.
-    with use_backend(backend):
-        for start in range(0, n, int(chunk_size)):
-            chunk = arr[start : start + int(chunk_size)]
-            c = chunk.size
-            rows = sampler.integers(0, k, size=c)
-            cols = sampler.integers(0, m, size=c)
-            if use_kernel:
-                cell, base_signs = compute.fused_encode_shared_pass(
-                    pairs._bucket_coeffs, pairs._sign_coeffs,
-                    chunk.astype(np.uint64), rows, cols, m,
+    for start in range(0, n, int(chunk_size)):
+        chunk = arr[start : start + int(chunk_size)]
+        c = chunk.size
+        rows = sampler.integers(0, k, size=c)
+        cols = sampler.integers(0, m, size=c)
+        if use_kernel:
+            cell, base_signs = _fused_encode_shared_pass(
+                pairs._bucket_coeffs, pairs._sign_coeffs,
+                chunk.astype(np.uint64), rows, cols, m,
+            )
+        else:
+            buckets, sign_parity = pairs.bucket_and_sign_parity_rows(
+                rows, chunk, domain_checked=True
+            )
+            base_signs = 1 - 2 * (
+                sign_parity ^ sample_hadamard_parities(buckets, cols, m)
+            )
+            cell = rows * m + cols
+        scatter_add_signed_units(shared, (cell,), base_signs)
+        for t, generator in enumerate(generators):
+            band = np.searchsorted(p_sorted, generator.random(c), side="right")
+            flipped = band < num_eps
+            if np.any(flipped):
+                idx = band[flipped] * (k * m) + cell[flipped]
+                scatter_add_signed_units(
+                    bands[t].reshape(-1), (idx,), base_signs[flipped]
                 )
-            else:
-                buckets, sign_parity = pairs.bucket_and_sign_parity_rows(
-                    rows, chunk, domain_checked=True
-                )
-                base_signs = 1 - 2 * (
-                    sign_parity ^ sample_hadamard_parities(buckets, cols, m)
-                )
-                cell = rows * m + cols
-            scatter_add_signed_units(shared, (cell,), base_signs)
-            for t, generator in enumerate(generators):
-                band = np.searchsorted(p_sorted, generator.random(c), side="right")
-                flipped = band < num_eps
-                if np.any(flipped):
-                    idx = band[flipped] * (k * m) + cell[flipped]
-                    scatter_add_signed_units(
-                        bands[t].reshape(-1), (idx,), base_signs[flipped]
-                    )
     # F accumulates over ascending thresholds (band j flips every epsilon
     # with sorted position >= j); undo the sort when writing out.
     flipped_sums = np.cumsum(bands, axis=1)
@@ -562,6 +533,93 @@ def _encode_chunk(
     # parity bits computes it in integer passes without ±1 multiplies.
     ys = 1 - 2 * (sign_parity ^ hadamard_parity ^ flips)
     return ys, rows, cols
+
+
+def _base_parity(
+    bucket_coefficients_t: np.ndarray,
+    sign_coefficients_t: np.ndarray,
+    x: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    m: int,
+) -> np.ndarray:
+    """Each report's sign bit before the flip: sign-hash ⊕ Hadamard parity.
+
+    The front half shared by the three fused kernels below.  ``x`` holds
+    uint64 values already checked to lie in ``[0, p)``; ``rows`` / ``cols``
+    are int64 draws in range; the coefficient matrices are the
+    transposed ``(degree, R)`` layouts of :mod:`repro.hashing.pairs`.
+    """
+    buckets = reduce_mod_m(polyval_rows(bucket_coefficients_t, rows, x), m)
+    sign_parity = (
+        polyval_rows(sign_coefficients_t, rows, x) & np.uint64(1)
+    ).astype(np.int64)
+    # The AND result is freshly allocated — donate it as fold scratch;
+    # indices are < m so the parity fold is log2(m)-bit bounded.
+    hadamard_parity = _popcount_parity(
+        np.bitwise_and(buckets, cols), bits=max(1, int(m).bit_length() - 1),
+        consume=True,
+    )
+    return sign_parity ^ hadamard_parity
+
+
+def _fused_encode_accumulate(
+    bucket_coefficients_t, sign_coefficients_t, x, rows, cols, flips, m, out
+) -> None:
+    """One chunk of perturbed reports folded into a ``(k, m)`` sketch."""
+    base_parity = _base_parity(
+        bucket_coefficients_t, sign_coefficients_t, x, rows, cols, m
+    )
+    # y = xi * H[h, l] * b is a product of three signs; XOR-ing their
+    # parity bits computes it in integer passes without ±1 multiplies.
+    ys = 1 - 2 * (base_parity ^ flips)
+    flat = rows * np.int64(out.shape[1]) + cols
+    bincount_accumulate(out, flat, ys)
+
+
+def _fused_encode_accumulate_trials(
+    bucket_coefficients_t, sign_coefficients_t, x, rows, cols, flips, m, out
+) -> None:
+    """``T`` trials of one value chunk: ``rows``/``cols``/``flips`` are ``(T, c)``.
+
+    Trial ``t``'s coefficient columns sit at ``t * k + rows[t, i]`` in the
+    stacked ``(degree, T * k)`` matrices
+    (:func:`repro.hashing.pairs.stack_pair_coefficients`); ``out`` is
+    ``(T, k, m)``.  Equal to ``T`` :func:`_fused_encode_accumulate` calls
+    on ``out[t]`` bit for bit.
+    """
+    trials, c = rows.shape
+    k = out.shape[1]
+    # One gathered Horner pass over T * c elements: trial t's row-j
+    # polynomial sits at stacked column t * k + j.
+    row_offsets = (np.arange(trials, dtype=np.int64) * k)[:, None]
+    x_all = np.tile(x, trials)
+    idx = (row_offsets + rows).ravel()
+    base_parity = _base_parity(
+        bucket_coefficients_t, sign_coefficients_t, x_all, idx, cols.ravel(), m
+    )
+    ys = (1 - 2 * (base_parity ^ flips.ravel())).reshape(trials, c)
+    # Scatter per trial: each histogram then targets one (k, m)
+    # accumulator (L2-resident) instead of one T-times-larger flat
+    # block — the integer sums are identical either way.
+    for t in range(trials):
+        flat = rows[t] * np.int64(m) + cols[t]
+        bincount_accumulate(out[t], flat, ys[t])
+
+
+def _fused_encode_shared_pass(
+    bucket_coefficients_t, sign_coefficients_t, x, rows, cols, m
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The grouped mode's shared half: ``(cell, base_signs)`` before any flip.
+
+    ``cell[i] = rows[i] * m + cols[i]`` is the int64 flat sketch index
+    and ``base_signs[i]`` in ``{-1, +1}`` the unperturbed report sign.
+    """
+    base_parity = _base_parity(
+        bucket_coefficients_t, sign_coefficients_t, x, rows, cols, m
+    )
+    cell = rows * np.int64(m) + cols
+    return cell, 1 - 2 * base_parity
 
 
 def _check_pairs(params: SketchParams, pairs: HashPairs) -> None:

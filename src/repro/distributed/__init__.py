@@ -14,7 +14,7 @@ bit of the result.  This package owns that machinery:
   wrong ``epsilon`` — are refused;
 * :func:`merge_tree` / :func:`merge_sequential` — pairwise tree and
   left-fold reductions, byte-identical by construction (pure integer
-  adds, pre-FWHT, backend-agnostic);
+  adds, pre-FWHT);
 * :class:`ShardCheckpoint` / :func:`ingest_with_checkpoint` — atomic
   flush/resume, so a killed aggregator restarts from its last flushed
   partial and finishes byte-identical to an uninterrupted run; a
@@ -41,7 +41,6 @@ from .collectors import ShardRun, estimate_sharded, prepare_shard_run
 from .merge import merge_sequential, merge_tree
 from .partial import (
     PARTIAL_FORMAT,
-    PARTIAL_MIN_VERSION,
     PARTIAL_VERSION,
     PartialAggregate,
     content_checksum,
@@ -55,7 +54,6 @@ __all__ = [
     "PartialAggregate",
     "PARTIAL_FORMAT",
     "PARTIAL_VERSION",
-    "PARTIAL_MIN_VERSION",
     "fingerprint_digest",
     "content_checksum",
     "merge_tree",

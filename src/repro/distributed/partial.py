@@ -5,7 +5,7 @@ aggregator: raw integer accumulators (pre-FWHT sketch counters, oracle
 count tables, per-user report stores) plus additive accounting.  Because
 every array is a linear aggregate, merging two partials is a pure
 element-wise add (or an order-preserving concatenation for per-user
-stores) — no floats, no backend kernels, no randomness — which is what
+stores) — no floats, no transforms, no randomness — which is what
 makes the merge tree associative and byte-exact.
 
 Safety comes from the **fingerprint**: a JSON-compatible dict pinning
@@ -62,10 +62,6 @@ __all__ = [
 #: Payload marker + version of the wire format.
 PARTIAL_FORMAT = "repro/partial-aggregate"
 PARTIAL_VERSION = 2
-
-#: Oldest wire version :meth:`PartialAggregate.from_dict` still reads.
-#: Version 1 predates the crc32 content checksum and loads unchecked.
-PARTIAL_MIN_VERSION = 1
 
 #: How an array merges: element-wise integer/float add, or order-preserving
 #: concatenation along axis 0 (per-user stores such as OLH's report lists).
@@ -370,14 +366,10 @@ class PartialAggregate:
                 f"not a partial-aggregate payload (format={payload.get('format')!r})"
             )
         version = payload.get("version")
-        if (
-            not isinstance(version, int)
-            or not PARTIAL_MIN_VERSION <= version <= PARTIAL_VERSION
-        ):
+        if not isinstance(version, int) or version != PARTIAL_VERSION:
             raise ParameterError(
                 f"unsupported partial-aggregate version {version!r} "
-                f"(this build reads versions "
-                f"{PARTIAL_MIN_VERSION}..{PARTIAL_VERSION})"
+                f"(this build reads version {PARTIAL_VERSION})"
             )
         # Every shape check raises the typed error: a payload read from a
         # file or a socket must never surface as KeyError/TypeError.
@@ -399,24 +391,22 @@ class PartialAggregate:
                     f"partial-aggregate {key} must be an object, "
                     f"got {type(payload[key]).__name__}"
                 )
-        if version >= 2:
-            recorded = payload.get("checksum")
-            actual = content_checksum(arrays_payload)
-            if recorded != actual:
-                raise PartialIntegrityError(
-                    f"partial-aggregate payload failed its content checksum "
-                    f"(recorded {recorded!r}, computed {actual}): "
-                    f"bit flip or truncation in the array data"
-                )
+        recorded = payload.get("checksum")
+        actual = content_checksum(arrays_payload)
+        if recorded != actual:
+            raise PartialIntegrityError(
+                f"partial-aggregate payload failed its content checksum "
+                f"(recorded {recorded!r}, computed {actual}): "
+                f"bit flip or truncation in the array data"
+            )
         arrays: Dict[str, np.ndarray] = {}
         ops: Dict[str, str] = {}
         for name, entry in arrays_payload.items():
             try:
                 arrays[name] = decode_array(entry["data"], np.dtype(entry["dtype"]))
             except (KeyError, TypeError, ValueError) as error:
-                # decode_array rejects byte-count mismatches (a truncated
-                # base64 body that still crc-matched cannot happen, but a
-                # version-1 payload has no crc to catch it first); numpy
+                # decode_array rejects byte-count mismatches (a body
+                # whose crc was recomputed after truncation); numpy
                 # rejects an unknown dtype name.
                 raise PartialIntegrityError(
                     f"partial-aggregate array {name!r} failed to decode: {error}"

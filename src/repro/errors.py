@@ -21,10 +21,6 @@ part of the pipeline rejected the input:
 ``UnknownEstimatorError``
     A name passed to the estimator registry (:mod:`repro.api`) does not
     resolve to any registered estimator, or a registration collides.
-``BackendUnavailableError``
-    A compute backend requested by name (:mod:`repro.backend`) is not
-    registered or cannot be imported (e.g. ``"numba"`` without numba
-    installed).
 ``PartialIntegrityError``
     A serialized :class:`~repro.distributed.PartialAggregate` payload
     failed its content checksum (bit flip, truncation).  Subclass of
@@ -89,7 +85,6 @@ __all__ = [
     "ProtocolError",
     "DataGenerationError",
     "UnknownEstimatorError",
-    "BackendUnavailableError",
     "PartialIntegrityError",
     "CheckpointCorruptError",
     "InjectedFaultError",
@@ -136,10 +131,6 @@ class UnknownEstimatorError(ReproError, KeyError):
 
     def __str__(self) -> str:  # KeyError quotes its message; keep it plain
         return self.args[0] if self.args else ""
-
-
-class BackendUnavailableError(ReproError, RuntimeError):
-    """A requested compute backend is unknown or cannot be imported."""
 
 
 class PartialIntegrityError(ParameterError):

@@ -240,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the repro.analysis invariant linter (RPR101-RPR105)",
+        help="run the repro.analysis invariant linter (the RPR rules)",
         description="Static checks for the repo's determinism, merge-safety, "
-        "backend-ABI and privacy-budget invariants; arguments are forwarded "
+        "privacy-budget and service invariants; arguments are forwarded "
         "to `python -m repro.analysis` verbatim.",
     )
     lint.add_argument(
@@ -425,7 +425,20 @@ def _run_failover(args: argparse.Namespace) -> int:
         print(f"failover: --endpoint {error}", file=sys.stderr)
         return 2
     if args.failover_command == "promote":
-        info = ResilientClient(addresses, client_id="repro-failover").promote(args.target)
+        if not 0 <= args.target < len(addresses):
+            print(
+                f"failover: --target {args.target} is not an --endpoint index "
+                f"(0..{len(addresses) - 1})",
+                file=sys.stderr,
+            )
+            return 2
+        client = ResilientClient(addresses, client_id="repro-failover")
+        try:
+            info = client.promote(args.target)
+        except (ConnectionError, ReproError) as error:
+            host, port = addresses[args.target]
+            print(f"[{args.target}] {host}:{port}: unreachable ({error})")
+            return 1
         print(json.dumps(info, sort_keys=True))
         return 0
     exit_code = 0

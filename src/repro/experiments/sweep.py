@@ -444,61 +444,18 @@ def _instance_from_ref(ref) -> JoinInstance:
     return instance
 
 
-#: The backend name this worker process last selected (avoids re-running
-#: the registry resolution on every unit).
-_WORKER_BACKEND: Optional[str] = None
-
-
-def _ensure_worker_backend(name: Optional[str]) -> None:
-    """Re-resolve the compute backend inside a pool worker.
-
-    Under ``fork`` the parent's resolved backend object is inherited, but
-    under ``spawn`` the worker re-imports :mod:`repro.backend` and would
-    silently auto-detect — dropping an explicit parent-side
-    :func:`repro.backend.set_backend` choice.  The parent therefore ships
-    the *name* of its active backend with every unit and the worker
-    re-resolves it here, once.  A backend that exists in the parent but
-    not in the worker (exotic heterogeneous deployments) degrades to the
-    worker's default with a warning instead of poisoning the sweep.
-    """
-    global _WORKER_BACKEND
-    from ..backend import (
-        BackendUnavailableError,
-        _clear_context_override,
-        set_backend,
-    )
-
-    # A use_backend scope active in the parent when the pool forked is
-    # inherited through the contextvar and would shadow set_backend here
-    # for every unit this worker ever runs — drop it first.
-    _clear_context_override()
-    if name is None or name == _WORKER_BACKEND:
-        return
-    try:
-        set_backend(name)
-    except BackendUnavailableError as exc:  # pragma: no cover - heterogeneous
-        import warnings
-
-        warnings.warn(
-            f"sweep worker could not select backend {name!r} ({exc}); "
-            f"continuing on the worker's default backend",
-            RuntimeWarning,
-        )
-    _WORKER_BACKEND = name
-
-
-#: The fault-plan payload this worker last armed.  Payload-equality cache
-#: (mirroring ``_WORKER_BACKEND``): re-arming an unchanged plan on every
-#: task would reset its hit counters mid-sweep.
+#: The fault-plan payload this worker last armed.  Payload-equality cache:
+#: re-arming an unchanged plan on every task would reset its hit counters
+#: mid-sweep.
 _WORKER_FAULTS = None
 
 
 def _ensure_worker_faults(payload) -> None:
     """Arm (or disarm) the parent's fault plan inside a pool worker.
 
-    Fault plans are process-wide state, so like the backend choice they
-    must be re-established in every worker: the parent ships
-    ``plan.to_dict()`` with each task and the worker arms it once.
+    Fault plans are process-wide state, so they must be re-established
+    in every worker: the parent ships ``plan.to_dict()`` with each task
+    and the worker arms it once.
     """
     global _WORKER_FAULTS
     if payload == _WORKER_FAULTS:
@@ -516,11 +473,10 @@ def _execute_remote(
     unit: SweepUnit,
     estimator: JoinEstimator,
     ref,
-    backend=None,
     faults=None,
     attempt: int = 0,
 ):
-    """Worker entry point: re-pin the backend, attach the dataset, run.
+    """Worker entry point: arm the fault plan, attach the dataset, run.
 
     The unit runs once.  ``attempt`` is the parent's resubmission count:
     the ``sweep.unit`` fault point and every inner point (``shard.collect``,
@@ -528,7 +484,6 @@ def _execute_remote(
     spec with ``times=t`` stops firing once the parent has resubmitted
     the unit ``t`` times, even on a fresh worker after a process death.
     """
-    _ensure_worker_backend(backend)
     _ensure_worker_faults(faults)
     fault_point(
         "sweep.unit",
@@ -643,8 +598,6 @@ def iter_sweep(
     from concurrent.futures import FIRST_COMPLETED, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    from ..backend import get_backend
-
     refs = {}
     handles = []
     try:
@@ -653,9 +606,6 @@ def iter_sweep(
             handles.extend(shms)
         pool_size = min(workers, len(plan.units))
         pool = _get_executor(pool_size)
-        # Ship the parent's active backend name so workers re-resolve it
-        # after fork/spawn (see _ensure_worker_backend).
-        backend_name = get_backend().name
         fault_payload = faults.to_dict() if faults is not None else None
         max_attempts = policy.max_attempts if policy is not None else 1
         attempts = [0] * len(plan.units)
@@ -669,7 +619,6 @@ def iter_sweep(
                 unit,
                 plan.estimators[unit.method],
                 refs[unit.dataset],
-                backend_name,
                 fault_payload,
                 attempts[unit.index],
             )

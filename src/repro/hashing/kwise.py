@@ -19,11 +19,10 @@ independent over ``[0, p)``.  We fix ``p = 2^31 - 1`` (a Mersenne prime):
 or to signs is layered on top (see :mod:`repro.hashing.sign` and
 :class:`repro.hashing.pairs.HashPairs`).
 
-The batched entry points :func:`polyval_rows` / :func:`polyval_all`
-dispatch to the active compute backend (:mod:`repro.backend`); the NumPy
-reference kernels live here as :func:`polyval_rows_numpy` /
-:func:`polyval_all_numpy` and remain the executable specification every
-backend is pinned against.
+The batched entry points :func:`polyval_rows` (one polynomial per
+element, the client hot path) and :func:`polyval_all` (every polynomial
+against the whole batch, the server scan path) share one lazy-fold
+Horner loop.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..backend import get_backend
 from ..errors import DomainError, ParameterError
 from ..rng import RandomState, ensure_rng
 from ..validation import require_positive_int
@@ -44,9 +42,7 @@ __all__ = [
     "mod_mersenne31",
     "polyval_mersenne",
     "polyval_rows",
-    "polyval_rows_numpy",
     "polyval_all",
-    "polyval_all_numpy",
     "reduce_mod_m",
 ]
 
@@ -72,7 +68,7 @@ def reduce_mod_m(raw: np.ndarray, m: int) -> np.ndarray:
     """Map field residues into ``[0, m)`` — a mask when ``m`` is ``2**b``.
 
     The single bucket-reduction shared by :class:`~repro.hashing.pairs.HashPairs`
-    and the fused backend kernels, so the fused and non-fused encode paths
+    and the fused client encode, so the fused and non-fused encode paths
     cannot drift apart.
     """
     if m & (m - 1) == 0:
@@ -160,16 +156,6 @@ def polyval_rows(coefficients_t: np.ndarray, rows: np.ndarray, x: np.ndarray) ->
     matrix; ``rows`` selects the polynomial per element and must lie in
     ``[0, k)``; ``x`` holds the evaluation points in ``[0, p)`` as
     uint64.  This is the client hot path: one hash evaluation per report.
-    Dispatches to the active compute backend;
-    :func:`polyval_rows_numpy` is the reference kernel.
-    """
-    return get_backend().polyval_mersenne_rows(coefficients_t, rows, x)
-
-
-def polyval_rows_numpy(
-    coefficients_t: np.ndarray, rows: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """NumPy reference kernel behind :func:`polyval_rows`.
 
     One contiguous coefficient row per degree means each per-report
     gather is a flat ``np.take`` instead of a strided column read — the
@@ -195,15 +181,8 @@ def polyval_all(coefficients_t: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     ``coefficients_t`` is the transposed ``(degree, k)`` matrix; every
     polynomial is evaluated against the whole batch (the server-side
-    scan path).  Dispatches to the active compute backend;
-    :func:`polyval_all_numpy` is the reference kernel.
+    scan path) in one broadcast Horner pass over all rows at once.
     """
-    return get_backend().polyval_mersenne_all(coefficients_t, x)
-
-
-def polyval_all_numpy(coefficients_t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """NumPy reference kernel behind :func:`polyval_all`: one broadcast
-    Horner pass over all rows at once."""
     degree, k = coefficients_t.shape
     x = x[None, :]
     acc = np.repeat(coefficients_t[-1][:, None], x.shape[1], axis=1)

@@ -14,7 +14,6 @@ from .olh import OLHOracle
 from .flh import FLHOracle
 from .hcms import HCMSOracle
 from .ldpjs import LDPJoinSketchOracle
-from .oue import OUEOracle
 
 __all__ = [
     "FrequencyOracle",
@@ -24,5 +23,4 @@ __all__ = [
     "FLHOracle",
     "HCMSOracle",
     "LDPJoinSketchOracle",
-    "OUEOracle",
 ]

@@ -24,7 +24,6 @@ import math
 import numpy as np
 
 from ..accumulate import scatter_count
-from ..backend import get_backend
 from ..hashing.kwise import MERSENNE_PRIME_31
 from ..privacy.response import grr_perturb, grr_probabilities
 from ..rng import RandomState
@@ -32,6 +31,9 @@ from ..validation import require_positive_int
 from .base import FrequencyOracle
 
 __all__ = ["FLHOracle"]
+
+#: Transient-table budget of the chunked support scan (entries).
+_TABLE_BUDGET = 4_194_304
 
 
 class FLHOracle(FrequencyOracle):
@@ -82,11 +84,8 @@ class FLHOracle(FrequencyOracle):
         }
 
     def _frequencies(self, candidates: np.ndarray) -> np.ndarray:
-        # Same support-scan kernel as OLH (the shared local-hashing
-        # family), in counts mode: pool-sized table lookups per
-        # candidate instead of a per-user comparison scan.
-        support = get_backend().oracle_support_scan(
-            self._pool_a, self._pool_b, candidates, self.g, counts=self._counts
+        support = _support_scan(
+            self._pool_a, self._pool_b, self._counts, candidates, self.g
         )
         return (support - self.num_reports / self.g) / (self.p - 1.0 / self.g)
 
@@ -100,3 +99,31 @@ class FLHOracle(FrequencyOracle):
     def memory_bytes(self) -> int:
         """The ``(pool_size, g)`` count matrix."""
         return int(self._counts.nbytes)
+
+
+def _support_scan(
+    a: np.ndarray, b: np.ndarray, counts: np.ndarray, candidates: np.ndarray, g: int
+) -> np.ndarray:
+    """``S(d) = sum_r counts[r, ((a[r] d + b[r]) mod p) mod g]`` per candidate.
+
+    Pool-sized table lookups per candidate instead of OLH's per-user
+    comparison scan; the pool is walked in slices so the transient
+    ``(pool, candidates)`` hash table stays bounded regardless of domain
+    size.  Returns float64 supports shaped like ``candidates``.
+    """
+    prime = np.uint64(MERSENNE_PRIME_31)
+    g64 = np.uint64(g)
+    cand = candidates.astype(np.uint64)[None, :]
+    support = np.zeros(candidates.size, dtype=np.float64)
+    if not candidates.size:
+        return support
+    pool_chunk = max(1, _TABLE_BUDGET // candidates.size)
+    for start in range(0, a.size, pool_chunk):
+        stop = min(start + pool_chunk, a.size)
+        table = (
+            (a[start:stop].astype(np.uint64)[:, None] * cand
+             + b[start:stop].astype(np.uint64)[:, None]) % prime
+        ) % g64
+        rows = np.arange(start, stop, dtype=np.int64)[:, None]
+        support += np.sum(counts[rows, table.astype(np.int64)], axis=0)
+    return support

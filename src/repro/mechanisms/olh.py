@@ -25,7 +25,6 @@ from typing import List
 
 import numpy as np
 
-from ..backend import get_backend
 from ..hashing.kwise import MERSENNE_PRIME_31
 from ..privacy.response import grr_perturb, grr_probabilities
 from ..rng import RandomState
@@ -33,6 +32,9 @@ from ..validation import require_positive_int
 from .base import FrequencyOracle
 
 __all__ = ["OLHOracle"]
+
+#: Transient-table budget of the chunked support scan (entries).
+_TABLE_BUDGET = 8_388_608
 
 
 class OLHOracle(FrequencyOracle):
@@ -97,13 +99,8 @@ class OLHOracle(FrequencyOracle):
         return self._hash_a[0], self._hash_b[0], self._reports[0]
 
     def _frequencies(self, candidates: np.ndarray) -> np.ndarray:
-        # The Theta(users x candidates) scan runs on the active compute
-        # backend's support-scan kernel (chunked broadcast on NumPy,
-        # compiled per-candidate loops under numba).
         a, b, reports = self._consolidated()
-        support = get_backend().oracle_support_scan(
-            a, b, candidates, self.g, reports=reports
-        )
+        support = _support_scan(a, b, reports, candidates, self.g)
         return (support - self.num_reports / self.g) / (self.p - 1.0 / self.g)
 
     @property
@@ -114,3 +111,32 @@ class OLHOracle(FrequencyOracle):
     def memory_bytes(self) -> int:
         """Per-user hash parameters and reports held by the server."""
         return int(sum(x.nbytes for x in self._hash_a + self._hash_b + self._reports))
+
+
+def _support_scan(
+    a: np.ndarray, b: np.ndarray, reports: np.ndarray, candidates: np.ndarray, g: int
+) -> np.ndarray:
+    """``S(d) = #{u : reports[u] = ((a[u] d + b[u]) mod p) mod g}`` per candidate.
+
+    The Theta(users x candidates) scan of exact OLH: every candidate
+    against every user's hash parameters, one broadcast per user chunk;
+    the chunking bounds the transient ``(users, candidates)`` table.
+    Returns float64 supports shaped like ``candidates``.
+    """
+    prime = np.uint64(MERSENNE_PRIME_31)
+    g64 = np.uint64(g)
+    cand = candidates.astype(np.uint64)[None, :]
+    support = np.zeros(candidates.size, dtype=np.float64)
+    if not candidates.size:
+        return support
+    user_chunk = max(1, _TABLE_BUDGET // candidates.size)
+    for start in range(0, a.size, user_chunk):
+        sl = slice(start, start + user_chunk)
+        hashed = (
+            (a[sl].astype(np.uint64)[:, None] * cand
+             + b[sl].astype(np.uint64)[:, None]) % prime
+        ) % g64
+        support += np.count_nonzero(
+            hashed.astype(np.int64) == reports[sl][:, None], axis=0
+        )
+    return support

@@ -515,7 +515,7 @@ class ServiceServer:
     ) -> Tuple[int, dict, Optional[Dict[str, str]]]:
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
             return 400, {"error": f"body must be JSON: {error}"}, None
         if not isinstance(payload, dict):
             return 400, {"error": "body must be a JSON object"}, None

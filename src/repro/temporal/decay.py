@@ -29,7 +29,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..api.session import check_session_partial, partial_streams, session_fingerprint
-from ..backend import use_backend
 from ..core.params import SketchParams
 from ..core.server import LDPJoinSketch
 from ..distributed.partial import PartialAggregate
@@ -122,7 +121,6 @@ def decayed_join_estimate(
     stream_a: str,
     stream_b: str,
     decay: Tuple[int, int],
-    backend=None,
 ) -> Tuple[float, int]:
     """Eq. (5) join-size estimate with per-epoch exponential decay.
 
@@ -161,9 +159,8 @@ def decayed_join_estimate(
     stream_params = SketchParams(params.k, pairs[attribute].m, params.epsilon)
     combined_a = combine_decayed(arrays_a, weights)
     combined_b = combine_decayed(arrays_b, weights)
-    with use_backend(backend):
-        sketch_a = LDPJoinSketch.from_raw(stream_params, pairs[attribute], combined_a, reports_a)
-        sketch_b = LDPJoinSketch.from_raw(stream_params, pairs[attribute], combined_b, reports_b)
+    sketch_a = LDPJoinSketch.from_raw(stream_params, pairs[attribute], combined_a, reports_a)
+    sketch_b = LDPJoinSketch.from_raw(stream_params, pairs[attribute], combined_b, reports_b)
     raw_estimate = sketch_a.join_size(sketch_b)
     scaled = float(raw_estimate) / float(denominator ** (2 * (len(partials) - 1)))
     return scaled, reports_a + reports_b

@@ -59,8 +59,6 @@ class TemporalSession:
         pairs when ``pairs`` is not given).
     pairs:
         Pre-built hash pairs to share (e.g. with a sibling service).
-    backend:
-        Compute-backend pin forwarded to every epoch session.
     """
 
     def __init__(
@@ -70,12 +68,9 @@ class TemporalSession:
         window_epochs: int = 8,
         seed: RandomState = None,
         pairs: Optional[Sequence[HashPairs]] = None,
-        backend=None,
     ) -> None:
         self.params = params
-        self._coordinator = JoinSession(
-            params, seed=seed, pairs=pairs, backend=backend
-        )
+        self._coordinator = JoinSession(params, seed=seed, pairs=pairs)
         self._ring = EpochRing(window_epochs)
         # Epoch shards draw their client-simulation seeds from this
         # stream so a fixed master seed pins the whole timeline, not
@@ -312,7 +307,6 @@ class TemporalSession:
             stream_a=stream_a,
             stream_b=stream_b,
             decay=decay,
-            backend=self._coordinator.backend,
         )
         return estimate
 

@@ -23,9 +23,8 @@ Three facts make the protocols cheap:
   client-side transform row by row.
 
 The FWHT accepts either a single vector or a batch of row vectors;
-:func:`fwht_inplace` dispatches to the active compute backend
-(:mod:`repro.backend`), with :func:`fwht_batch_inplace_numpy` as the
-constant-geometry reference butterfly.
+:func:`fwht_inplace` validates its input and runs the constant-geometry
+butterfly.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "hadamard_matrix",
     "fwht",
     "fwht_inplace",
-    "fwht_batch_inplace_numpy",
     "sample_hadamard_entries",
     "sample_hadamard_parities",
 ]
@@ -146,8 +144,6 @@ def fwht_inplace(data: np.ndarray) -> np.ndarray:
     ``data`` must be a float array whose last dimension is a power of two.
     Computes ``data @ H_m`` (equivalently ``H_m @ data`` per row, since the
     matrix is symmetric) without materialising ``H_m``.  Returns ``data``.
-    Validation lives here; the butterfly itself runs on the active
-    compute backend (:func:`fwht_batch_inplace_numpy` is the reference).
     """
     if data.ndim == 0:
         raise ValueError("fwht requires at least a 1-D array")
@@ -163,16 +159,14 @@ def fwht_inplace(data: np.ndarray) -> np.ndarray:
     require_power_of_two("transform length", m)
     if m == 1:
         return data
-    from ..backend import get_backend
-
-    return get_backend().fwht_batch_inplace(data)
+    return _butterfly(data)
 
 
-#: Per-thread scratch reused across :func:`fwht_batch_inplace_numpy`
-#: calls — the second buffer of the ping-pong is the transform's only
-#: transient, and back-to-back sketch finalisations all need the same
-#: ``k * m`` floats.  Buffers above the cap are not retained so one
-#: giant transform cannot pin memory for the rest of the process.
+#: Per-thread scratch reused across :func:`_butterfly` calls — the
+#: second buffer of the ping-pong is the transform's only transient, and
+#: back-to-back sketch finalisations all need the same ``k * m`` floats.
+#: Buffers above the cap are not retained so one giant transform cannot
+#: pin memory for the rest of the process.
 _SCRATCH = threading.local()
 _SCRATCH_CACHE_MAX = 1 << 20  # elements (8 MiB of float64)
 
@@ -186,8 +180,8 @@ def _fwht_scratch(size: int, dtype: np.dtype) -> np.ndarray:
     return buf[:size]
 
 
-def fwht_batch_inplace_numpy(data: np.ndarray) -> np.ndarray:
-    """NumPy reference butterfly behind :func:`fwht_inplace`.
+def _butterfly(data: np.ndarray) -> np.ndarray:
+    """The butterfly behind :func:`fwht_inplace` (callers go through it).
 
     The constant-geometry (Pease) form: every pass reads the pairs
     ``(x[2i], x[2i+1])`` and writes ``a + b`` to slot ``i`` and
@@ -196,9 +190,9 @@ def fwht_batch_inplace_numpy(data: np.ndarray) -> np.ndarray:
     one, so pass ``t`` combines bit ``t`` of the original index (bit 0
     first) and ``log2(m)`` passes restore the natural order.  Every
     element sees the same adds and subtracts, in the same order, as
-    the in-place butterfly of the numba kernel — the output is equal
-    bit for bit — but each ufunc call runs over ``m/2`` elements of a
-    row instead of ``h``-element blocks.  Data and one cached scratch
+    the in-place radix-2 butterfly that combines bit 0 first — the
+    output is equal bit for bit — but each ufunc call runs over
+    ``m/2`` elements of a row instead of ``h``-element blocks.  Data and one cached scratch
     buffer of the same size alternate as source and target; an odd
     pass count ends with one copy back into ``data``.
     """

@@ -21,6 +21,18 @@ from repro.errors import UnknownEstimatorError
 from repro.privacy.budget import BudgetLedger
 
 
+CORE_LINEUP = [
+    "fagms",
+    "krr",
+    "olh",
+    "flh",
+    "hcms",
+    "ldp-join-sketch",
+    "ldp-join-sketch-plus",
+    "compass",
+]
+
+
 @pytest.fixture(scope="module")
 def instance():
     return ZipfGenerator(128, alpha=1.4).make_join_instance(6_000, rng=1)
@@ -32,28 +44,10 @@ class TestRegistry:
 
     def test_core_lineup_registered(self):
         names = available_estimators()
-        for expected in (
-            "fagms",
-            "krr",
-            "olh",
-            "flh",
-            "hcms",
-            "ldp-join-sketch",
-            "ldp-join-sketch-plus",
-            "compass",
-        ):
+        for expected in CORE_LINEUP:
             assert expected in names
 
-    @pytest.mark.parametrize("name", [
-        "fagms",
-        "krr",
-        "olh",
-        "flh",
-        "hcms",
-        "ldp-join-sketch",
-        "ldp-join-sketch-plus",
-        "compass",
-    ])
+    @pytest.mark.parametrize("name", CORE_LINEUP)
     def test_round_trip_every_name(self, name, instance):
         """Every registered name resolves, instantiates and estimates."""
         estimator = get_estimator(name)
@@ -90,6 +84,24 @@ class TestRegistry:
     def test_private_flags(self):
         assert get_estimator("fagms").private is False
         assert get_estimator("ldp-join-sketch").private is True
+
+    @pytest.mark.parametrize("name", CORE_LINEUP)
+    def test_unknown_option_is_refused(self, name):
+        # Options go straight to the estimator's constructor, so a
+        # misspelt one fails at lookup instead of being ignored.
+        with pytest.raises(TypeError, match="no_such_option"):
+            get_estimator(name, no_such_option=1)
+
+    def test_base_estimator_is_abstract(self):
+        with pytest.raises(TypeError, match="estimate"):
+            BaseEstimator()
+
+    def test_estimator_without_estimate_cannot_be_built(self):
+        class Incomplete(BaseEstimator):
+            name = "Incomplete"
+
+        with pytest.raises(TypeError, match="estimate"):
+            Incomplete()
 
     def test_register_decorator_and_collision(self, instance):
         @register("test-constant", aliases=("tc",))

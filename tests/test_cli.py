@@ -264,6 +264,17 @@ class TestFailoverSubcommand:
         assert "role=primary" in lines[0]
         assert lines[1].startswith(f"[1] {dead}: unreachable")
 
+    def test_promote_of_an_unreachable_target_exits_1(self, capsys):
+        dead = _unused_address()
+        assert main(["failover", "promote", "--endpoint", dead, "--target", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"[0] {dead}: unreachable")
+
+    def test_promote_target_out_of_range_exits_2(self, capsys):
+        dead = _unused_address()
+        assert main(["failover", "promote", "--endpoint", dead, "--target", "1"]) == 2
+        assert "--target 1" in capsys.readouterr().err
+
     def test_promote_then_status_shows_epoch_1(self, tmp_path, capsys):
         def steps(primary, standby):
             self._ingest(primary, standby)
@@ -304,7 +315,9 @@ class TestLintSubcommand:
         # argparse REMAINDER cannot capture a leading --flag; the lint
         # subcommand is intercepted before parsing so this must work.
         assert main(["lint", "--list-rules"]) == 0
-        assert "RPR103" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "RPR104" in out
+        assert "RPR103" not in out
 
     def test_lint_json_format(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text("import random\n")

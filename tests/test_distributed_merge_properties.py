@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import JoinSession, get_estimator
-from repro.backend import backend_available, use_backend
 from repro.core import SketchParams
 from repro.core.estimator import DEFAULT_SCAN_CHUNK
 from repro.data.base import JoinInstance
@@ -36,9 +35,6 @@ from .conftest import zipf_values
 #: Shard counts of the invariance grid (deliberately including 1, primes
 #: and a power of two deeper than one tree level).
 SHARD_COUNTS = (1, 2, 3, 7, 16)
-
-#: Compute backends to pin the grid to (numba rows skip when absent).
-BACKENDS = [name for name in ("numpy", "numba") if backend_available(name)]
 
 #: Small shared shapes so the 8-method grid stays fast.
 DOMAIN = 64
@@ -82,38 +78,36 @@ def _deterministic_fields(result):
 class TestShardCountInvariance:
     """Acceptance grid: 8 methods x K in {1, 2, 3, 7, 16}."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", sorted(METHOD_CONFIGS))
-    def test_tree_merge_matches_single_aggregator(self, name, backend, instance):
+    def test_tree_merge_matches_single_aggregator(self, name, instance):
         estimator, strategy = _make(name)
-        with use_backend(backend):
-            serial = estimator.estimate(instance, EPSILON, seed=77)
-            for num_shards in SHARD_COUNTS:
-                tree = estimate_sharded(
-                    estimator,
-                    instance,
-                    EPSILON,
-                    num_shards=num_shards,
-                    seed=77,
-                    strategy=strategy,
-                    merge="tree",
-                )
-                single = estimate_sharded(
-                    estimator,
-                    instance,
-                    EPSILON,
-                    num_shards=num_shards,
-                    seed=77,
-                    strategy=strategy,
-                    merge="sequential",
-                )
-                assert _deterministic_fields(tree) == _deterministic_fields(single), (
-                    f"{name}: tree != single-aggregator at K={num_shards}"
-                )
-                if num_shards == 1:
-                    assert _deterministic_fields(tree) == _deterministic_fields(
-                        serial
-                    ), f"{name}: K=1 does not replay the unsharded estimate"
+        serial = estimator.estimate(instance, EPSILON, seed=77)
+        for num_shards in SHARD_COUNTS:
+            tree = estimate_sharded(
+                estimator,
+                instance,
+                EPSILON,
+                num_shards=num_shards,
+                seed=77,
+                strategy=strategy,
+                merge="tree",
+            )
+            single = estimate_sharded(
+                estimator,
+                instance,
+                EPSILON,
+                num_shards=num_shards,
+                seed=77,
+                strategy=strategy,
+                merge="sequential",
+            )
+            assert _deterministic_fields(tree) == _deterministic_fields(single), (
+                f"{name}: tree != single-aggregator at K={num_shards}"
+            )
+            if num_shards == 1:
+                assert _deterministic_fields(tree) == _deterministic_fields(
+                    serial
+                ), f"{name}: K=1 does not replay the unsharded estimate"
 
     @pytest.mark.parametrize("name", ["ldp-join-sketch", "krr", "flh", "hcms", "olh", "fagms"])
     def test_merged_partial_state_is_byte_identical(self, name, instance):

@@ -254,7 +254,7 @@ class TestPopcountParityLUT:
 
 
 def _inplace_butterfly(data: np.ndarray) -> np.ndarray:
-    """The in-place radix-2 butterfly, bit 0 first: the numba kernel's order."""
+    """The in-place radix-2 butterfly, combining index bit 0 first."""
     m = data.shape[-1]
     h = 1
     while h < m:
@@ -272,21 +272,21 @@ class TestConstantGeometryButterfly:
     @pytest.mark.parametrize("log_m", range(13))  # m = 1 .. 4096, odd and even log2
     @pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["1-D", "2-D", "3-D"])
     def test_bit_identical_to_the_inplace_butterfly(self, log_m, lead):
-        from repro.transform.hadamard import fwht_batch_inplace_numpy
+        from repro.transform.hadamard import _butterfly
 
         data = np.random.default_rng(log_m).normal(scale=1e3, size=(*lead, 1 << log_m))
         expected = _inplace_butterfly(data.copy())
-        for transform in (fwht_batch_inplace_numpy, fwht_inplace):
+        for transform in (_butterfly, fwht_inplace):
             out = transform(data.copy())
             np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("m", [8, 16])
     def test_non_contiguous_view(self, m):
-        from repro.transform.hadamard import fwht_batch_inplace_numpy
+        from repro.transform.hadamard import _butterfly
 
         base = np.random.default_rng(m).normal(size=(m, 6))
         expected = _inplace_butterfly(np.ascontiguousarray(base.T))
-        for transform in (fwht_batch_inplace_numpy, fwht_inplace):
+        for transform in (_butterfly, fwht_inplace):
             view = base.copy().T  # (6, m), not C-contiguous
             assert transform(view) is view
             np.testing.assert_array_equal(

@@ -13,7 +13,6 @@ from repro.mechanisms import (
     KRROracle,
     LDPJoinSketchOracle,
     OLHOracle,
-    OUEOracle,
     estimate_join_via_frequencies,
 )
 
@@ -25,7 +24,6 @@ ALL_ORACLES = [
     (FLHOracle, {}),
     (HCMSOracle, {"k": 9, "m": 128}),
     (LDPJoinSketchOracle, {"k": 9, "m": 128}),
-    (OUEOracle, {}),
 ]
 
 

@@ -24,7 +24,6 @@ from repro.mechanisms import (
     KRROracle,
     LDPJoinSketchOracle,
     OLHOracle,
-    OUEOracle,
 )
 from repro.sketches import FastAGMSSketch
 
@@ -35,7 +34,6 @@ EPSILON = 4.0
 
 ACCUMULATORS = {
     "krr": lambda seed: KRROracle(DOMAIN, EPSILON, seed),
-    "oue": lambda seed: OUEOracle(DOMAIN, EPSILON, seed),
     "olh": lambda seed: OLHOracle(DOMAIN, EPSILON, seed),
     "flh": lambda seed: FLHOracle(DOMAIN, EPSILON, seed, pool_size=32),
     "hcms": lambda seed: HCMSOracle(DOMAIN, EPSILON, seed, k=3, m=64),

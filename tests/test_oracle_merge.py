@@ -12,7 +12,6 @@ from repro.mechanisms import (
     KRROracle,
     LDPJoinSketchOracle,
     OLHOracle,
-    OUEOracle,
 )
 
 from .conftest import zipf_values
@@ -24,8 +23,7 @@ EPSILON = 4.0
 def _factories():
     return {
         "krr": lambda seed: KRROracle(DOMAIN, EPSILON, seed),
-        "oue": lambda seed: OUEOracle(DOMAIN, EPSILON, seed),
-        "olh": lambda seed: OLHOracle(DOMAIN, EPSILON, seed),
+            "olh": lambda seed: OLHOracle(DOMAIN, EPSILON, seed),
         "flh": lambda seed: FLHOracle(DOMAIN, EPSILON, seed, pool_size=32),
         "hcms": lambda seed: HCMSOracle(DOMAIN, EPSILON, seed, k=3, m=64),
         "ldpjs": lambda seed: LDPJoinSketchOracle(DOMAIN, EPSILON, seed, k=3, m=64),
@@ -65,7 +63,7 @@ def test_merge_rejects_mismatched_configuration():
     with pytest.raises(IncompatibleSketchError, match="budget"):
         a.merge(KRROracle(DOMAIN, 8.0, 1))
     with pytest.raises(IncompatibleSketchError, match="cannot merge"):
-        a.merge(OUEOracle(DOMAIN, EPSILON, 1))
+        a.merge(FLHOracle(DOMAIN, EPSILON, 1))
 
 
 def test_merge_rejects_unshared_hashes():

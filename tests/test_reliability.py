@@ -490,14 +490,14 @@ class TestPartialChecksum:
         with pytest.raises(PartialIntegrityError):
             type(partial).from_dict(payload)
 
-    def test_version_1_payload_still_loads(self):
-        partial = _small_partial()
-        payload = json.loads(json.dumps(partial.to_dict()))
+    def test_version_1_label_does_not_skip_the_checksum(self):
+        payload = json.loads(json.dumps(_small_partial().to_dict()))
         payload["version"] = 1
-        del payload["checksum"]  # v1 payloads predate the checksum
-        clone = type(partial).from_dict(payload)
-        for key in partial.arrays:
-            np.testing.assert_array_equal(clone.arrays[key], partial.arrays[key])
+        name = sorted(payload["arrays"])[0]
+        data = payload["arrays"][name]["data"]["data"]
+        payload["arrays"][name]["data"]["data"] = ("A" if data[0] != "A" else "B") + data[1:]
+        with pytest.raises(ParameterError, match="unsupported partial-aggregate version 1"):
+            PartialAggregate.from_dict(payload)
 
     def test_future_version_is_rejected(self):
         payload = _small_partial().to_dict()
@@ -521,8 +521,8 @@ class TestPartialChecksum:
             pytest.param(lambda p: p.update(counters=[1, 2]), id="list-counters"),
             pytest.param(lambda p: p.update(meta="abc"), id="str-meta"),
             pytest.param(
-                lambda p: p.update(version=1, arrays="xyz") or p.pop("checksum"),
-                id="v1-str-arrays",
+                lambda p: p.update(arrays="xyz") or p.pop("checksum"),
+                id="str-arrays-without-checksum",
             ),
         ],
     )

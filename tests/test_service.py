@@ -596,13 +596,41 @@ class TestAggregationService:
         path = tmp_path / "crash" / "node.ckpt"
         payload = json.loads(path.read_text())
         partial = payload["partial"]
-        partial.update(version=1, arrays="not a mapping")
+        partial.update(arrays="not a mapping")
         del partial["checksum"]
         path.write_text(json.dumps(payload))
 
         restarted = AggregationService(make_config(tmp_path / "crash"))
         recovery = restarted.start()
         assert "arrays must map names" in recovery["cold_start"]
+        assert recovery["replayed"] == 8
+        for tenant, stream, values in batches[8:]:
+            restarted.ingest(tenant, stream, values)
+        restarted.publish()
+        assert restarted.snapshot.digest == reference
+        restarted.close()
+
+    def test_checkpoint_relabelled_version_1_with_a_flipped_byte_cold_starts(self, tmp_path):
+        """A ``version: 1`` label does not turn the checkpoint's crc off."""
+        batches = make_batches(10)
+        reference = run_to_digest(tmp_path / "ref", batches)
+
+        crashed = AggregationService(make_config(tmp_path / "crash"))
+        crashed.start()
+        for tenant, stream, values in batches[:8]:
+            crashed.ingest(tenant, stream, values)
+        crashed.wal.close()
+        path = tmp_path / "crash" / "node.ckpt"
+        payload = json.loads(path.read_text())
+        partial = payload["partial"]
+        partial["version"] = 1
+        entry = partial["arrays"][f"stream:{TENANT}/A:raw"]["data"]
+        entry["data"] = ("A" if entry["data"][0] != "A" else "B") + entry["data"][1:]
+        path.write_text(json.dumps(payload))
+
+        restarted = AggregationService(make_config(tmp_path / "crash"))
+        recovery = restarted.start()
+        assert "unsupported partial-aggregate version 1" in recovery["cold_start"]
         assert recovery["replayed"] == 8
         for tenant, stream, values in batches[8:]:
             restarted.ingest(tenant, stream, values)
@@ -755,13 +783,17 @@ class TestPartialWireVersionBoundary:
         session.collect("A", np.arange(50) % 7, seed=9)
         return session.to_partial(include_timing=False).to_dict()
 
-    def test_v1_payload_still_loads(self):
+    def test_v1_payload_is_refused(self):
+        """Version 1 predates the crc; no payload may load unchecked."""
         payload = self._payload()
-        reference = PartialAggregate.from_dict(json.loads(json.dumps(payload)))
         payload["version"] = 1
-        del payload["checksum"]  # v1 predates the content checksum
-        loaded = PartialAggregate.from_dict(payload)
-        assert loaded == reference
+        del payload["checksum"]
+        with pytest.raises(
+            ParameterError,
+            match=r"unsupported partial-aggregate version 1 \(this build "
+            r"reads version 2\)",
+        ):
+            PartialAggregate.from_dict(payload)
 
     def test_future_version_rejected_with_documented_message(self):
         payload = self._payload()
@@ -769,20 +801,19 @@ class TestPartialWireVersionBoundary:
         with pytest.raises(
             ParameterError,
             match=r"unsupported partial-aggregate version 3 \(this build "
-            r"reads versions 1\.\.2\)",
+            r"reads version 2\)",
         ):
             PartialAggregate.from_dict(payload)
 
-    def test_v1_truncated_array_is_still_typed(self):
-        """Without a crc, a v1 payload relies on the byte-count gate."""
+    def test_truncated_array_with_recomputed_crc_is_typed(self):
+        """A crc recomputed over a cut array leaves the byte-count gate."""
         payload = self._payload()
-        payload["version"] = 1
-        del payload["checksum"]
         name = sorted(payload["arrays"])[0]
         entry = payload["arrays"][name]["data"]
         keep = max(4, (len(entry["data"]) // 2) // 4 * 4)  # valid b64 padding
         entry["data"] = entry["data"][:keep]
-        with pytest.raises(PartialIntegrityError):
+        payload["checksum"] = content_checksum(payload["arrays"])
+        with pytest.raises(PartialIntegrityError, match="failed to decode"):
             PartialAggregate.from_dict(payload)
 
 
@@ -930,6 +961,25 @@ class TestServiceServer:
                     {"tenant": TENANT, "stream": "A", "values": list(range(500))},
                 )
                 assert status == 413
+            finally:
+                await server.shutdown()
+
+        asyncio.run(scenario())
+
+    def test_report_nested_past_the_recursion_limit_is_400(self, tmp_path):
+        async def scenario():
+            server = self._server(tmp_path)
+            host, port = await server.start()
+            try:
+                status, body, _ = await _request(
+                    host, port, "POST", "/v1/report", b"[" * 100_000
+                )
+                assert status == 400 and "body must be JSON" in body["error"], body
+                batch = {"tenant": TENANT, "stream": "A", "values": [1, 2]}
+                status, ack, _ = await _request(
+                    host, port, "POST", "/v1/report", batch
+                )
+                assert (status, ack) == (200, {"sequence": 0, "reports": 2})
             finally:
                 await server.shutdown()
 
